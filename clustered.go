@@ -227,12 +227,16 @@ func (c *Clustered) Evaluate() (overall float64, perCluster []float64) {
 	perCluster = make([]float64, len(models))
 	routedHits := 0
 	n := c.Test.Len()
+	ch, h, w := c.Test.Spec()
 	for lo := 0; lo < n; lo += 256 {
 		hi := lo + 256
 		if hi > n {
 			hi = n
 		}
-		x, labels := c.Test.Batch(lo, hi)
+		// One batch buffer (the first model's) feeds every cluster model;
+		// each model's logits live in its own layers until its next Forward.
+		x := models[0].Input(hi-lo, ch, h, w)
+		labels := c.Test.BatchInto(x.Data(), lo, hi)
 		for k, m := range models {
 			logits := m.Forward(x, false)
 			perCluster[k] += nn.Accuracy(logits, labels) * float64(hi-lo)

@@ -2,6 +2,8 @@ package fedmigr
 
 import (
 	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -61,5 +63,44 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 				t.Fatalf("shuffle=%v: round %d metrics diverge:\nserial   %+v\nparallel %+v", shuffle, i, s, p)
 			}
 		}
+	}
+}
+
+// goldenRun digests the global model of a short run at one worker.
+func goldenRun(t *testing.T, o Options) string {
+	t.Helper()
+	sim, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	b, err := sim.Trainer.GlobalModel().MarshalParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))
+}
+
+// TestGoldenModelHashes pins the arithmetic itself, not just its
+// invariance: the digests below were produced by the textbook kernels
+// (one accumulator, one term at a time) before they were register-tiled,
+// so a kernel that reorders a single sum — and would move every model
+// hash the benchmark gates on — fails here first. amd64 only: arm64 fuses
+// multiply-adds, which rounds differently by design.
+func TestGoldenModelHashes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are pinned for amd64, not %s", runtime.GOARCH)
+	}
+	cnn := goldenRun(t, Options{
+		Scheme: SchemeFedMigr, Migrator: MigratorGreedyEMD, Model: ModelC10CNN,
+		Clients: 6, LANs: 2, PerClass: 12, Epochs: 6, AggEvery: 2, // 3 rounds
+		BatchSize: 8, EvalEvery: 2, Workers: 1, Seed: 7,
+	})
+	if want := "d458e7da66e7868b346053dbdd2962375fc27593ba9bc5e0ea48d6dc624400c5"; cnn != want {
+		t.Errorf("3-round C10CNN FedMigr run: global model digest %s, want %s", cnn, want)
+	}
+	_, sum := runFedMigr(t, 1, false)
+	if got, want := fmt.Sprintf("%x", sum), "ff6f38f09c96d363a9c3ae029a068918ef881810dc0bd194b5a75950061c05b4"; got != want {
+		t.Errorf("2-round DRL run: global model digest %s, want %s", got, want)
 	}
 }

@@ -10,12 +10,11 @@ import (
 
 // hotAllocZones are the compute kernel packages: allocations inside their
 // kernels land on every training step of every client and dominate GC
-// pressure (ROADMAP Open item 2 — the sched arena exists precisely so
-// kernels recycle scratch instead of calling make).
-var hotAllocZones = []string{
-	"fedmigr/internal/tensor",
-	"fedmigr/internal/nn",
-}
+// pressure. A steady-state step allocates nothing: tensor kernels write
+// into the destination they are passed (the *Into forms) and every nn
+// layer owns its outputs, growing them through tensor.Ensure only when a
+// batch outgrows their capacity (DESIGN.md §5).
+var hotAllocZones = []string{tensorPkg, nnPkg}
 
 // kernelNameRE selects the hot functions within the zones: the math
 // kernels and the layer Forward/Backward paths. Constructors, tests and
@@ -23,19 +22,30 @@ var hotAllocZones = []string{
 var kernelNameRE = regexp.MustCompile(`MatMul|Conv|Pool|Im2Col|Col2Im|GEMM|Forward|Backward|Softmax`)
 
 // HotAlloc flags per-step allocations inside tensor/nn kernels: make
-// calls, slice-growing appends, and interface boxing inside loops. Two
-// idioms are exempt because they amortize to zero allocations in steady
-// state: a make guarded by a len/cap check (lazy realloc:
-// `if cap(buf) < n { buf = make(...) }`) and append into a reset slice
-// (`append(buf[:0], ...)`). Everything else should come from the sched
-// arena (Arena.Get / GetScratch / GetBuf).
+// calls, slice-growing appends, interface boxing inside loops, and — in a
+// layer's Forward/Backward — the tensor constructors and copying
+// arithmetic that return a fresh tensor. Two idioms are exempt because they
+// amortize to zero allocations in steady state: a make guarded by a
+// len/cap check (lazy realloc: `if cap(buf) < n { buf = make(...) }`) and
+// append into a reset slice (`append(buf[:0], ...)`). Everything else
+// should be a layer- or caller-owned buffer reshaped with tensor.Ensure.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags make/append/boxing allocations inside tensor and nn kernel functions " +
-		"(MatMul/Conv/Pool/Forward/Backward/...) that should recycle sched arena scratch; " +
-		"cap-guarded lazy reallocs and append-to-reset-slice are exempt",
+		"(MatMul/Conv/Pool/Forward/Backward/...) and fresh-tensor calls (tensor.New/Clone/Map/Add/Sub) " +
+		"inside nn Forward/Backward methods; owned cap-guarded buffers (tensor.Ensure), " +
+		"lazy reallocs and append-to-reset-slice are exempt",
 	Run: runHotAlloc,
 }
+
+const (
+	tensorPkg = "fedmigr/internal/tensor"
+	nnPkg     = "fedmigr/internal/nn"
+)
+
+// freshTensorCalls are the tensor functions and methods that return a
+// newly allocated tensor on every call.
+var freshTensorCalls = map[string]bool{"New": true, "Clone": true, "Map": true, "Add": true, "Sub": true}
 
 func runHotAlloc(pass *analysis.Pass) {
 	if !inPackages(pass, hotAllocZones) {
@@ -48,8 +58,33 @@ func runHotAlloc(pass *analysis.Pass) {
 				continue
 			}
 			checkKernelAllocs(pass, fd.Body, false, false)
+			if pass.Pkg.ImportPath == nnPkg && fd.Recv != nil && (fd.Name.Name == "Forward" || fd.Name.Name == "Backward") {
+				checkFreshTensors(pass, fd.Body)
+			}
 		}
 	}
+}
+
+// checkFreshTensors flags calls into the tensor package that hand a layer
+// a fresh tensor on every step.
+func checkFreshTensors(pass *analysis.Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+		if ok && fn.Pkg() != nil && fn.Pkg().Path() == tensorPkg && freshTensorCalls[fn.Name()] {
+			pass.Reportf(call.Pos(),
+				"tensor.%s in a layer's Forward/Backward allocates a tensor every step: keep a layer-owned buffer and reshape it with tensor.Ensure (it grows only when a batch outgrows it)",
+				fn.Name())
+		}
+		return true
+	})
 }
 
 // checkKernelAllocs walks one kernel body. guarded is true inside an if
@@ -96,12 +131,12 @@ func checkAllocCall(pass *analysis.Pass, call *ast.CallExpr, guarded, inLoop boo
 			case "make":
 				if !guarded {
 					pass.Reportf(call.Pos(),
-						"make in kernel hot path allocates every step: recycle scratch from the sched arena (Arena.Get/GetBuf) or amortize with a cap-guarded lazy realloc")
+						"make in kernel hot path allocates every step: write into a caller- or layer-owned buffer (tensor.Ensure), or amortize with a cap-guarded lazy realloc")
 				}
 			case "append":
 				if !guarded && !appendToReset(call) {
 					pass.Reportf(call.Pos(),
-						"append in kernel hot path can grow the backing array every step: append into buf[:0] with arena-sized capacity, or recycle from the sched arena")
+						"append in kernel hot path can grow the backing array every step: append into buf[:0] of an owned buffer, which stops growing once it fits the largest batch")
 				}
 			}
 			return

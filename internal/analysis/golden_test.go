@@ -32,6 +32,7 @@ var fixtures = []struct {
 	{"floatcmp", "fedmigr/internal/tensor", analyzers.FloatCmp},
 	{"goroutineleak", "fedmigr/internal/fednet", analyzers.GoroutineLeak},
 	{"hotalloc", "fedmigr/internal/tensor", analyzers.HotAlloc},
+	{"hotallocnn", "fedmigr/internal/nn", analyzers.HotAlloc},
 	{"wireexhaustive", "fedmigr/internal/fednet", analyzers.WireExhaustive},
 }
 

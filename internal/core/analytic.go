@@ -223,12 +223,14 @@ func (t *AnalyticTrainer) clientStats(ext *nn.Sequential, ds *data.Dataset, dim 
 	gram := tensor.New(f1, f1)
 	moment := tensor.New(f1, t.classes)
 	const batch = 256
+	ch, h, w := ds.Spec()
 	for lo := 0; lo < ds.Len(); lo += batch {
 		hi := lo + batch
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}
-		x, y := ds.Batch(lo, hi)
+		x := ext.Input(hi-lo, ch, h, w)
+		y := ds.BatchInto(x.Data(), lo, hi)
 		phi := ext.Forward(x, false) // (B, F)
 		b := hi - lo
 		aug := tensor.New(b, f1) // Φ̃ = [Φ | 1]
@@ -340,18 +342,4 @@ func (t *AnalyticTrainer) assemble(w *tensor.Tensor) *nn.Sequential {
 }
 
 // evaluate scores the solved model on the test set.
-func (t *AnalyticTrainer) evaluate() float64 {
-	const evalBatch = 256
-	correct, total := 0.0, 0
-	for lo := 0; lo < t.test.Len(); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > t.test.Len() {
-			hi = t.test.Len()
-		}
-		x, y := t.test.Batch(lo, hi)
-		out := t.global.Forward(x, false)
-		correct += nn.Accuracy(out, y) * float64(hi-lo)
-		total += hi - lo
-	}
-	return correct / float64(total)
-}
+func (t *AnalyticTrainer) evaluate() float64 { return evalModel(t.global, t.test) }

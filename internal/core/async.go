@@ -235,39 +235,24 @@ func (t *AsyncTrainer) syncWall(now float64) {
 }
 
 // evaluate measures the global model's test accuracy.
-func (t *AsyncTrainer) evaluate() float64 {
-	if t.test == nil || t.test.Len() == 0 {
-		return 0
-	}
-	const batch = 256
-	correct, total := 0.0, 0
-	for lo := 0; lo < t.test.Len(); lo += batch {
-		hi := lo + batch
-		if hi > t.test.Len() {
-			hi = t.test.Len()
-		}
-		x, y := t.test.Batch(lo, hi)
-		out := t.global.Forward(x, false)
-		correct += nn.Accuracy(out, y) * float64(hi-lo)
-		total += hi - lo
-	}
-	return correct / float64(total)
-}
+func (t *AsyncTrainer) evaluate() float64 { return evalModel(t.global, t.test) }
 
 // trainEpochSGD runs one epoch of plain mini-batch SGD (shared by the
 // asynchronous trainer; the synchronous trainer has its own FedProx-aware
 // variant).
 func trainEpochSGD(model *nn.Sequential, opt *nn.SGD, ds *data.Dataset, batch int) float64 {
+	c, h, w := ds.Spec()
 	lossSum, nb := 0.0, 0
 	for lo := 0; lo < ds.Len(); lo += batch {
 		hi := lo + batch
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}
-		x, y := ds.Batch(lo, hi)
+		x := model.Input(hi-lo, c, h, w)
+		y := ds.BatchInto(x.Data(), lo, hi)
 		model.ZeroGrad()
 		out := model.Forward(x, true)
-		loss, grad := nn.CrossEntropy(out, y)
+		loss, grad := model.CrossEntropy(out, y)
 		model.Backward(grad)
 		opt.Step(model)
 		lossSum += loss

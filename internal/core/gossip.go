@@ -29,7 +29,8 @@ type GossipTrainer struct {
 	opts    []*nn.SGD
 	rng     *tensor.RNG
 
-	history []RoundMetrics
+	evalReplica *nn.Sequential // Run's consensus replica, built on first use
+	history     []RoundMetrics
 }
 
 // GossipConfig parameterizes decentralized training.
@@ -102,8 +103,10 @@ func (t *GossipTrainer) Accountant() *edgenet.Accountant { return t.acct }
 
 // ConsensusModel returns the uniform average of all client models — the
 // decentralized counterpart of a global model.
-func (t *GossipTrainer) ConsensusModel() *nn.Sequential {
-	avg := t.factory()
+func (t *GossipTrainer) ConsensusModel() *nn.Sequential { return t.consensusInto(t.factory()) }
+
+// consensusInto overwrites avg's parameters with the consensus average.
+func (t *GossipTrainer) consensusInto(avg *nn.Sequential) *nn.Sequential {
 	vec := tensor.New(avg.NumParams())
 	for _, m := range t.models {
 		vec.AddScaledInPlace(m.ParamVector(), 1/float64(len(t.models)))
@@ -161,7 +164,10 @@ func (t *GossipTrainer) Run() *Result {
 		t.acct.AddWallTime(maxT)
 
 		if round%cfg.EvalEvery == 0 || round == cfg.Rounds {
-			lastAcc = evalModel(t.ConsensusModel(), t.test)
+			if t.evalReplica == nil {
+				t.evalReplica = t.factory()
+			}
+			lastAcc = evalModel(t.consensusInto(t.evalReplica), t.test)
 			t.history = append(t.history, RoundMetrics{
 				Epoch: round, Round: round, TrainLoss: lastLoss,
 				TestAcc: lastAcc, Snapshot: t.acct.Snapshot(),
@@ -176,19 +182,24 @@ func (t *GossipTrainer) Run() *Result {
 	return res
 }
 
-// evalModel measures a model's test accuracy (0 with no test set).
+// evalModel measures a model's test accuracy (0 with no test set) — the
+// one evaluation loop of every trainer. Batches go through the model's own
+// input buffer and its layers' own outputs, so a model evaluated every
+// round allocates its workspace once.
 func evalModel(m *nn.Sequential, test *data.Dataset) float64 {
 	if test == nil || test.Len() == 0 {
 		return 0
 	}
 	const batch = 256
+	c, h, w := test.Spec()
 	correct, total := 0.0, 0
 	for lo := 0; lo < test.Len(); lo += batch {
 		hi := lo + batch
 		if hi > test.Len() {
 			hi = test.Len()
 		}
-		x, y := test.Batch(lo, hi)
+		x := m.Input(hi-lo, c, h, w)
+		y := test.BatchInto(x.Data(), lo, hi)
 		out := m.Forward(x, false)
 		correct += nn.Accuracy(out, y) * float64(hi-lo)
 		total += hi - lo

@@ -28,6 +28,7 @@ type Trainer struct {
 
 	factory      ModelFactory
 	global       *nn.Sequential
+	evalReplica  *nn.Sequential // evaluate()'s replica, built on first use
 	models       []*nn.Sequential
 	opts         []*nn.SGD
 	loc          []int // model m → hosting client
@@ -561,8 +562,8 @@ func modelEpochSeed(seed int64, epoch, m int) int64 {
 // trainOneEpoch runs τ=1 pass of mini-batch SGD of model over ds,
 // optionally adding the FedProx proximal gradient μ(w − w_g). g is the
 // model's private stochasticity stream for this epoch; it drives the
-// optional batch-order shuffle. Batch tensors are recycled through the
-// scheduler arena, so steady-state training allocates no batch storage.
+// optional batch-order shuffle. The batch lives in the model's own input
+// buffer, so steady-state training allocates no batch storage.
 func (t *Trainer) trainOneEpoch(model *nn.Sequential, opt *nn.SGD, ds *data.Dataset, globalVec *tensor.Tensor, g *tensor.RNG) float64 {
 	order := t.epochBatchOrder(ds, g)
 	if len(order) == 0 {
@@ -606,17 +607,16 @@ func (t *Trainer) trainBatches(model *nn.Sequential, opt *nn.SGD, ds *data.Datas
 		if hi > ds.Len() {
 			hi = ds.Len()
 		}
-		x := tensor.GetScratch(hi-lo, c, h, w)
+		x := model.Input(hi-lo, c, h, w)
 		y := ds.BatchInto(x.Data(), lo, hi)
 		model.ZeroGrad()
 		out := model.Forward(x, true)
-		loss, grad := nn.CrossEntropy(out, y)
+		loss, grad := model.CrossEntropy(out, y)
 		model.Backward(grad)
 		if globalVec != nil {
 			t.addProxGrad(model, globalVec)
 		}
 		opt.Step(model)
-		tensor.PutScratch(x)
 		lossSum += loss
 	}
 	return lossSum
@@ -1056,7 +1056,11 @@ func (t *Trainer) evaluate() float64 {
 	if t.test == nil || t.test.Len() == 0 {
 		return 0
 	}
-	avg := t.factory()
+	// One evaluation replica per trainer, built on first use: its
+	// parameters are overwritten every round, its buffers are kept.
+	if t.evalReplica == nil {
+		t.evalReplica = t.factory()
+	}
 	n := t.totalWeight()
 	var ms []*nn.Sequential
 	var ws []float64
@@ -1087,21 +1091,9 @@ func (t *Trainer) evaluate() float64 {
 	} else {
 		vec, _ = streamingParamSum(ms, ws, nil)
 	}
-	avg.SetParamVector(vec)
+	t.evalReplica.SetParamVector(vec)
 	tensor.PutScratch(vec)
-	const evalBatch = 256
-	correct, total := 0.0, 0
-	for lo := 0; lo < t.test.Len(); lo += evalBatch {
-		hi := lo + evalBatch
-		if hi > t.test.Len() {
-			hi = t.test.Len()
-		}
-		x, y := t.test.Batch(lo, hi)
-		out := avg.Forward(x, false)
-		correct += nn.Accuracy(out, y) * float64(hi-lo)
-		total += hi - lo
-	}
-	return correct / float64(total)
+	return evalModel(t.evalReplica, t.test)
 }
 
 // engagedMask combines churn state with the round's α-selection: migration

@@ -61,8 +61,8 @@ func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int) {
 
 // BatchInto copies samples [lo, hi) into dst, which must hold exactly
 // (hi-lo)·C·H·W values, and returns the matching label view — the
-// allocation-free variant of Batch for callers that recycle batch
-// buffers through an arena.
+// allocation-free variant of Batch for loops that keep one batch buffer
+// (nn.Sequential.Input).
 func (d *Dataset) BatchInto(dst []float64, lo, hi int) []int {
 	if lo < 0 || hi > d.Len() || lo >= hi {
 		panic(fmt.Sprintf("data: bad batch range [%d,%d) of %d", lo, hi, d.Len()))

@@ -420,13 +420,7 @@ func (c *Client) trainHosted() (float64, int) {
 				if hi > c.dataset.Len() {
 					hi = c.dataset.Len()
 				}
-				x, y := c.dataset.Batch(lo, hi)
-				model.ZeroGrad()
-				out := model.Forward(x, true)
-				loss, grad := nn.CrossEntropy(out, y)
-				model.Backward(grad)
-				opt.Step(model)
-				lossSum += loss
+				lossSum += c.trainBatch(model, opt, lo, hi)
 				n++
 			}
 			c.Epochs++
@@ -525,13 +519,22 @@ func (c *Client) resumeBatches(model *nn.Sequential, opt *nn.SGD, order []int) {
 		if hi > c.dataset.Len() {
 			hi = c.dataset.Len()
 		}
-		x, y := c.dataset.Batch(lo, hi)
-		model.ZeroGrad()
-		out := model.Forward(x, true)
-		_, grad := nn.CrossEntropy(out, y)
-		model.Backward(grad)
-		opt.Step(model)
+		c.trainBatch(model, opt, lo, hi)
 	}
+}
+
+// trainBatch runs one mini-batch SGD step over samples [lo, hi) of the
+// client's shard, through the model's own batch and gradient buffers, and
+// returns the batch loss.
+func (c *Client) trainBatch(model *nn.Sequential, opt *nn.SGD, lo, hi int) float64 {
+	ch, h, w := c.dataset.Spec()
+	x := model.Input(hi-lo, ch, h, w)
+	y := c.dataset.BatchInto(x.Data(), lo, hi)
+	model.ZeroGrad()
+	loss, grad := model.CrossEntropy(model.Forward(x, true), y)
+	model.Backward(grad)
+	opt.Step(model)
+	return loss
 }
 
 // receiveInbound accepts up to `want` peer transfers, bounded overall by

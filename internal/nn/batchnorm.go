@@ -22,12 +22,13 @@ type BatchNorm2D struct {
 	// Eps stabilizes the variance (default 1e-5).
 	Eps float64
 
-	// cached forward state
-	in       *tensor.Tensor
-	xhat     *tensor.Tensor
+	// cached forward state; trained is false until a training Forward
+	trained  bool
 	mean     []float64
 	invStd   []float64
 	channels int
+
+	out, xhat, dx *tensor.Tensor // owned buffers
 }
 
 // NewBatchNorm2D returns a batch-norm layer over c channels.
@@ -53,11 +54,11 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	plane := h * w
 	count := float64(n * plane)
-	out := tensor.New(n, c, h, w)
-	xd, od := x.Data(), out.Data()
+	b.out = tensor.Ensure(b.out, n, c, h, w)
+	xd, od := x.Data(), b.out.Data()
+	b.trained = train
 
 	if train {
-		b.in = x
 		// Amortized scratch: channel count is fixed for the layer's
 		// lifetime, so these allocate once and recycle thereafter.
 		if cap(b.mean) < c {
@@ -65,7 +66,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			b.invStd = make([]float64, c)
 		}
 		b.mean, b.invStd = b.mean[:c], b.invStd[:c]
-		b.xhat = tensor.New(n, c, h, w)
+		b.xhat = tensor.Ensure(b.xhat, n, c, h, w)
 		xh := b.xhat.Data()
 		for ci := 0; ci < c; ci++ {
 			sum := 0.0
@@ -100,7 +101,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		return out
+		return b.out
 	}
 
 	for ci := 0; ci < c; ci++ {
@@ -114,19 +115,19 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+	return b.out
 }
 
 // Backward implements Layer with the standard batch-norm gradient.
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if b.xhat == nil {
+	if !b.trained {
 		panic("nn: BatchNorm2D.Backward without a training Forward")
 	}
 	n, c := grad.Dim(0), grad.Dim(1)
 	plane := grad.Dim(2) * grad.Dim(3)
 	count := float64(n * plane)
-	dx := tensor.New(grad.Shape()...)
-	gd, xh, dxd := grad.Data(), b.xhat.Data(), dx.Data()
+	b.dx = tensor.Ensure(b.dx, grad.Shape()...)
+	gd, xh, dxd := grad.Data(), b.xhat.Data(), b.dx.Data()
 	for ci := 0; ci < c; ci++ {
 		var sumG, sumGX float64
 		for ni := 0; ni < n; ni++ {
@@ -148,7 +149,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dx
+	return b.dx
 }
 
 // Params implements Layer. Running statistics are exposed as parameters so

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"fedmigr/internal/sched"
 	"fedmigr/internal/tensor"
 )
 
@@ -14,8 +13,13 @@ type Conv2D struct {
 	GK, GB *tensor.Tensor
 	P      tensor.ConvParams
 
-	inShape []int
-	cols    *tensor.Tensor // cached Im2Col of the input
+	inShape []int // input geometry of the last training Forward (empty: none)
+
+	// Owned buffers: the im2col panel, K viewed as a (F, C·KH·KW) matrix,
+	// the (N·OH·OW, F) product and its NCHW rearrangement, and the backward
+	// temporaries.
+	cols, kmat, prod, out *tensor.Tensor
+	gm, dk, db, dcols, dx *tensor.Tensor
 }
 
 // NewConv2D returns a Conv2D layer with He-initialized kernels.
@@ -35,60 +39,57 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f := c.K.Dim(0)
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.P.OutSize(h, w)
-	cols := tensor.Im2Col(x, c.P) // (N*OH*OW, C*KH*KW)
 	if train {
 		c.inShape = append(c.inShape[:0], x.Shape()...)
-		c.cols = cols
 	} else {
-		c.cols = nil
+		c.inShape = c.inShape[:0]
 	}
-	kmat := c.K.Reshape(f, cols.Dim(1))
-	out := tensor.MatMulTransB(cols, kmat) // (N*OH*OW, F)
-	res := tensor.New(n, f, oh, ow)
-	od, rd := out.Data(), res.Data()
+	c.cols = tensor.Im2ColInto(c.cols, x, c.P) // (N*OH*OW, C*KH*KW)
+	c.kmat = c.K.ReshapeInto(c.kmat, f, c.cols.Dim(1))
+	c.prod = tensor.MatMulTransBInto(c.prod, c.cols, c.kmat) // (N*OH*OW, F)
+	c.out = tensor.Ensure(c.out, n, f, oh, ow)
+	// Rearrange (N*OH*OW, F) to (N,F,OH,OW), adding the bias.
+	od, rd, bd, ohw := c.prod.Data(), c.out.Data(), c.B.Data()[:f], oh*ow
 	for ni := 0; ni < n; ni++ {
-		for pos := 0; pos < oh*ow; pos++ {
-			row := (ni*oh*ow + pos) * f
-			for fi := 0; fi < f; fi++ {
-				rd[(ni*f+fi)*oh*ow+pos] = od[row+fi] + c.B.Data()[fi]
+		dst := rd[ni*f*ohw : (ni+1)*f*ohw]
+		for pos := 0; pos < ohw; pos++ {
+			row := od[(ni*ohw+pos)*f:][:f]
+			for fi, b := range bd {
+				dst[fi*ohw+pos] = row[fi] + b
 			}
 		}
 	}
-	return res
+	return c.out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.cols == nil {
+	if len(c.inShape) == 0 {
 		panic("nn: Conv2D.Backward without a training Forward")
 	}
 	f := c.K.Dim(0)
-	n, ch, h, w := c.inShape[0], c.inShape[1], c.inShape[2], c.inShape[3]
+	n, h, w := c.inShape[0], c.inShape[2], c.inShape[3]
 	oh, ow := c.P.OutSize(h, w)
 	// Rearrange grad (N,F,OH,OW) to (N*OH*OW, F).
-	gm := tensor.GetScratch(n*oh*ow, f)
-	gd, gmd := grad.Data(), gm.Data()
+	c.gm = tensor.Ensure(c.gm, n*oh*ow, f)
+	gd, gmd, ohw := grad.Data(), c.gm.Data(), oh*ow
 	for ni := 0; ni < n; ni++ {
+		dst := gmd[ni*ohw*f : (ni+1)*ohw*f]
 		for fi := 0; fi < f; fi++ {
-			for pos := 0; pos < oh*ow; pos++ {
-				gmd[(ni*oh*ow+pos)*f+fi] = gd[(ni*f+fi)*oh*ow+pos]
+			for pos, g := range gd[(ni*f+fi)*ohw:][:ohw] {
+				dst[pos*f+fi] = g
 			}
 		}
 	}
-	// dK = gmᵀ · cols, reshaped to kernel shape; db = column sums of gm.
-	dk := tensor.MatMulTransA(gm, c.cols) // (F, C*KH*KW)
-	c.GK.AddInPlace(dk.Reshape(c.K.Shape()...))
-	c.GB.AddInPlace(gm.SumRows())
+	// dK = gmᵀ · cols, (F, C*KH*KW) like the kernel; db = column sums of gm.
+	c.dk = tensor.MatMulTransAInto(c.dk, c.gm, c.cols)
+	c.GK.AddInPlace(c.dk)
+	c.db = c.gm.SumRowsInto(c.db)
+	c.GB.AddInPlace(c.db)
 	// dcols = gm · kmat ; dx = Col2Im(dcols).
-	kmat := c.K.Reshape(f, c.cols.Dim(1))
-	dcols := tensor.MatMul(gm, kmat)
-	dx := tensor.Col2Im(dcols, n, ch, h, w, c.P)
-	// The cached im2col matrix and the gradient temp are dead: recycle
-	// them through the arena for the next batch.
-	tensor.PutScratch(gm)
-	tensor.PutScratch(c.cols)
-	c.cols = nil
-	return dx
+	c.dcols = tensor.MatMulInto(c.dcols, c.gm, c.kmat)
+	c.dx = tensor.Col2ImInto(tensor.Ensure(c.dx, c.inShape...), c.dcols, c.P)
+	return c.dx
 }
 
 // Params implements Layer.
@@ -105,6 +106,7 @@ func (c *Conv2D) Name() string {
 type MaxPool2D struct {
 	P       tensor.ConvParams
 	arg     []int
+	out, dx *tensor.Tensor
 	inShape []int
 }
 
@@ -115,25 +117,17 @@ func NewMaxPool2D(k, stride int) *MaxPool2D {
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y, arg := tensor.MaxPool2D(x, m.P)
+	m.out, m.arg = tensor.MaxPool2DInto(m.out, m.arg, x, m.P)
 	if train {
-		// The previous batch's argmax map is dead once a new forward pass
-		// begins; recycle it so steady-state training allocates nothing
-		// here (the buffer comes from the shared sched arena).
-		if m.arg != nil {
-			sched.PutIntBuf(m.arg)
-		}
-		m.arg = arg
 		m.inShape = append(m.inShape[:0], x.Shape()...)
-	} else {
-		sched.PutIntBuf(arg)
 	}
-	return y
+	return m.out
 }
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPool2DBackward(grad, m.arg, m.inShape)
+	m.dx = tensor.MaxPool2DBackwardInto(tensor.Ensure(m.dx, m.inShape...), grad, m.arg)
+	return m.dx
 }
 
 // Params implements Layer.
@@ -148,7 +142,8 @@ func (m *MaxPool2D) Name() string {
 // connection: y = x + F(x). The inner stack must preserve shape. It is the
 // building block of the ResLite model standing in for ResNet-152.
 type Residual struct {
-	Body []Layer
+	Body    []Layer
+	out, dx *tensor.Tensor
 }
 
 // NewResidual returns a residual block around the given body layers.
@@ -163,7 +158,8 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !y.SameShape(x) {
 		panic(fmt.Sprintf("nn: Residual body changed shape %v → %v", x.Shape(), y.Shape()))
 	}
-	return y.Add(x)
+	r.out = sumInto(r.out, y, x)
+	return r.out
 }
 
 // Backward implements Layer.
@@ -172,7 +168,18 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(r.Body) - 1; i >= 0; i-- {
 		g = r.Body[i].Backward(g)
 	}
-	return g.Add(grad)
+	r.dx = sumInto(r.dx, g, grad)
+	return r.dx
+}
+
+// sumInto writes a + b into dst (reshaped like a, see tensor.Ensure).
+func sumInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
+	dst = tensor.Ensure(dst, a.Shape()...)
+	dd, bd := dst.Data(), b.Data()
+	for i, v := range a.Data() {
+		dd[i] = v + bd[i]
+	}
+	return dst
 }
 
 // Params implements Layer.

@@ -11,9 +11,10 @@ import (
 // no rescaling.
 type Dropout struct {
 	// P is the drop probability in [0, 1).
-	P    float64
-	rng  *tensor.RNG
-	mask []float64
+	P       float64
+	rng     *tensor.RNG
+	mask    []float64
+	out, dx *tensor.Tensor
 }
 
 // NewDropout returns a dropout layer with drop probability p.
@@ -29,22 +30,23 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.P == 0 {
 		return x
 	}
-	y := x.Clone()
-	if cap(d.mask) < y.Size() {
-		d.mask = make([]float64, y.Size())
+	d.out = tensor.Ensure(d.out, x.Shape()...)
+	if cap(d.mask) < x.Size() {
+		d.mask = make([]float64, x.Size())
 	}
-	d.mask = d.mask[:y.Size()]
+	d.mask = d.mask[:x.Size()]
 	scale := 1 / (1 - d.P)
-	for i := range y.Data() {
+	yd := d.out.Data()
+	for i, v := range x.Data() {
 		if d.rng.Float64() < d.P {
 			d.mask[i] = 0
-			y.Data()[i] = 0
+			yd[i] = 0
 		} else {
 			d.mask[i] = scale
-			y.Data()[i] *= scale
+			yd[i] = v * scale
 		}
 	}
-	return y
+	return d.out
 }
 
 // Backward implements Layer.
@@ -52,11 +54,12 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.P == 0 {
 		return grad
 	}
-	dx := grad.Clone()
-	for i := range dx.Data() {
-		dx.Data()[i] *= d.mask[i]
+	d.dx = tensor.Ensure(d.dx, grad.Shape()...)
+	dxd := d.dx.Data()
+	for i, g := range grad.Data() {
+		dxd[i] = g * d.mask[i]
 	}
-	return dx
+	return d.dx
 }
 
 // Params implements Layer.
@@ -70,6 +73,7 @@ func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", d.P) }
 type AvgPool2D struct {
 	P       tensor.ConvParams
 	inShape []int
+	out, dx *tensor.Tensor
 }
 
 // NewAvgPool2D returns an average-pooling layer with a square window.
@@ -87,9 +91,9 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := a.P.OutSize(h, w)
-	out := tensor.New(n, c, oh, ow)
+	a.out = tensor.Ensure(a.out, n, c, oh, ow)
 	area := float64(a.P.KernelH * a.P.KernelW)
-	xd, od := x.Data(), out.Data()
+	xd, od := x.Data(), a.out.Data()
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * h * w
@@ -114,16 +118,17 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+	return a.out
 }
 
 // Backward implements Layer.
 func (a *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := a.inShape[0], a.inShape[1], a.inShape[2], a.inShape[3]
 	oh, ow := a.P.OutSize(h, w)
-	dx := tensor.New(a.inShape...)
+	a.dx = tensor.Ensure(a.dx, a.inShape...)
+	a.dx.Zero() // the scatter below accumulates
 	area := float64(a.P.KernelH * a.P.KernelW)
-	gd, xd := grad.Data(), dx.Data()
+	gd, xd := grad.Data(), a.dx.Data()
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * h * w
@@ -147,7 +152,7 @@ func (a *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dx
+	return a.dx
 }
 
 // Params implements Layer.

@@ -19,6 +19,14 @@ import (
 // whatever it needs for Backward. Backward consumes the gradient of the
 // loss w.r.t. its output and returns the gradient w.r.t. its input,
 // accumulating parameter gradients internally.
+//
+// Ownership: every layer owns its outputs. A tensor returned by Forward or
+// Backward lives in a buffer of that layer — grown only when a batch needs
+// more capacity than it has, so a steady-state step allocates nothing — and
+// is valid until that layer's next Forward or Backward respectively. A
+// layer writes only to its own buffers, never to its input (a Residual
+// block and the layer above both still hold it); a caller that keeps a
+// result across calls copies it; a model is used by one goroutine at a time.
 type Layer interface {
 	// Forward runs the layer on a batch. If train is false the layer must
 	// not cache state and may use inference-only behaviour.
@@ -38,6 +46,8 @@ type Dense struct {
 	W, B   *tensor.Tensor
 	GW, GB *tensor.Tensor
 	in     *tensor.Tensor
+
+	out, dx, dw, db *tensor.Tensor // owned buffers
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights.
@@ -57,9 +67,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		d.in = nil
 	}
-	y := tensor.MatMulTransB(x, d.W)
-	y.AddRowVector(d.B)
-	return y
+	d.out = tensor.MatMulTransBInto(d.out, x, d.W)
+	return d.out.AddRowVector(d.B)
 }
 
 // Backward implements Layer.
@@ -68,9 +77,12 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Dense.Backward without a training Forward")
 	}
 	// dW = gradᵀ · x ; db = column sums of grad ; dx = grad · W.
-	d.GW.AddInPlace(tensor.MatMulTransA(grad, d.in))
-	d.GB.AddInPlace(grad.SumRows())
-	return tensor.MatMul(grad, d.W)
+	d.dw = tensor.MatMulTransAInto(d.dw, grad, d.in)
+	d.GW.AddInPlace(d.dw)
+	d.db = grad.SumRowsInto(d.db)
+	d.GB.AddInPlace(d.db)
+	d.dx = tensor.MatMulInto(d.dx, grad, d.W)
+	return d.dx
 }
 
 // Params implements Layer.
@@ -81,9 +93,10 @@ func (d *Dense) Params() ([]*tensor.Tensor, []*tensor.Tensor) {
 // Name implements Layer.
 func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.W.Dim(1), d.W.Dim(0)) }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise. Its own output doubles as the
+// backward mask: out > 0 exactly where the input was.
 type ReLU struct {
-	mask []bool
+	out, dx *tensor.Tensor
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -91,34 +104,30 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Clone()
-	if train {
-		if cap(r.mask) < y.Size() {
-			r.mask = make([]bool, y.Size())
-		}
-		r.mask = r.mask[:y.Size()]
-	}
-	for i, v := range y.Data() {
-		pos := v > 0
-		if !pos {
-			y.Data()[i] = 0
-		}
-		if train {
-			r.mask[i] = pos
+	r.out = tensor.Ensure(r.out, x.Shape()...)
+	yd := r.out.Data()
+	for i, v := range x.Data() {
+		if v > 0 {
+			yd[i] = v
+		} else {
+			yd[i] = 0
 		}
 	}
-	return y
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := grad.Clone()
-	for i := range dx.Data() {
-		if !r.mask[i] {
-			dx.Data()[i] = 0
+	r.dx = tensor.Ensure(r.dx, grad.Shape()...)
+	yd, dxd := r.out.Data(), r.dx.Data()
+	for i, g := range grad.Data() {
+		if yd[i] > 0 {
+			dxd[i] = g
+		} else {
+			dxd[i] = 0
 		}
 	}
-	return dx
+	return r.dx
 }
 
 // Params implements Layer.
@@ -129,7 +138,7 @@ func (r *ReLU) Name() string { return "ReLU" }
 
 // Tanh applies the hyperbolic tangent elementwise (used by the DDPG actor).
 type Tanh struct {
-	out *tensor.Tensor
+	out, dx *tensor.Tensor
 }
 
 // NewTanh returns a Tanh activation layer.
@@ -137,21 +146,22 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Map(math.Tanh)
-	if train {
-		t.out = y
+	t.out = tensor.Ensure(t.out, x.Shape()...)
+	yd := t.out.Data()
+	for i, v := range x.Data() {
+		yd[i] = math.Tanh(v)
 	}
-	return y
+	return t.out
 }
 
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := grad.Clone()
-	for i, g := range dx.Data() {
-		o := t.out.Data()[i]
-		dx.Data()[i] = g * (1 - o*o)
+	t.dx = tensor.Ensure(t.dx, grad.Shape()...)
+	yd, dxd := t.out.Data(), t.dx.Data()
+	for i, g := range grad.Data() {
+		dxd[i] = g * (1 - yd[i]*yd[i])
 	}
-	return dx
+	return t.dx
 }
 
 // Params implements Layer.
@@ -160,9 +170,11 @@ func (t *Tanh) Params() ([]*tensor.Tensor, []*tensor.Tensor) { return nil, nil }
 // Name implements Layer.
 func (t *Tanh) Name() string { return "Tanh" }
 
-// Flatten reshapes (N, ...) to (N, prod(...)).
+// Flatten reshapes (N, ...) to (N, prod(...)). Its outputs are views of
+// its inputs; it owns (and reuses) only the two view headers.
 type Flatten struct {
 	inShape []int
+	out, dx *tensor.Tensor
 }
 
 // NewFlatten returns a Flatten layer.
@@ -173,12 +185,14 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		f.inShape = append(f.inShape[:0], x.Shape()...)
 	}
-	return x.Reshape(x.Dim(0), -1)
+	f.out = x.ReshapeInto(f.out, x.Dim(0), -1)
+	return f.out
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
+	f.dx = grad.ReshapeInto(f.dx, f.inShape...)
+	return f.dx
 }
 
 // Params implements Layer.

@@ -11,16 +11,28 @@ import (
 )
 
 // Sequential chains layers into a model and owns the training plumbing
-// (forward, backward, parameter access, serialization).
+// (forward, backward, parameter access, serialization). Like its layers
+// (see Layer) it is used by one goroutine at a time.
 type Sequential struct {
 	Layers []Layer
+
+	// ps/gs cache the flattened parameter lists of the first listed layers.
+	ps, gs []*tensor.Tensor
+	listed int
+
+	in, lossGrad *tensor.Tensor // owned buffers, see Input and CrossEntropy
 }
 
 // NewSequential returns a model running the given layers in order.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
+func NewSequential(layers ...Layer) *Sequential {
+	m := &Sequential{Layers: layers}
+	m.Params() // built here, so concurrent readers of a finished model never write
+	return m
+}
 
 // Forward runs all layers. With train=true intermediate state is cached
-// for a subsequent Backward.
+// for a subsequent Backward. The result is owned by the last layer (see
+// Layer): copy it to keep it across another Forward.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range m.Layers {
 		x = l.Forward(x, train)
@@ -37,15 +49,36 @@ func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// Input returns the model's own input buffer with the given shape, for a
+// mini-batch loop to fill (data.Dataset.BatchInto) and pass to Forward: one
+// batch buffer per model, grown only when a batch outgrows it.
+func (m *Sequential) Input(shape ...int) *tensor.Tensor {
+	m.in = tensor.Ensure(m.in, shape...)
+	return m.in
+}
+
+// CrossEntropy is CrossEntropyInto on the model's own gradient buffer: the
+// returned gradient is valid until the model's next CrossEntropy.
+func (m *Sequential) CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	var loss float64
+	loss, m.lossGrad = CrossEntropyInto(m.lossGrad, logits, labels)
+	return loss, m.lossGrad
+}
+
 // Params returns all learnable parameters and matching gradient buffers.
+// The lists are built once (and again only if Layers changed length) and
+// shared by every call: treat them as read-only.
 func (m *Sequential) Params() ([]*tensor.Tensor, []*tensor.Tensor) {
-	var ps, gs []*tensor.Tensor
-	for _, l := range m.Layers {
-		p, g := l.Params()
-		ps = append(ps, p...)
-		gs = append(gs, g...)
+	if m.listed != len(m.Layers) || m.ps == nil {
+		m.ps, m.gs = []*tensor.Tensor{}, []*tensor.Tensor{}
+		for _, l := range m.Layers {
+			p, g := l.Params()
+			m.ps = append(m.ps, p...)
+			m.gs = append(m.gs, g...)
+		}
+		m.listed = len(m.Layers)
 	}
-	return ps, gs
+	return m.ps, m.gs
 }
 
 // ZeroGrad clears all gradient accumulators (nil slots mark
@@ -77,12 +110,7 @@ func (m *Sequential) ByteSize() int64 { return int64(m.NumParams()) * 8 }
 // ParamVector flattens all parameters into one vector (a copy).
 func (m *Sequential) ParamVector() *tensor.Tensor {
 	v := tensor.New(m.NumParams())
-	off := 0
-	ps, _ := m.Params()
-	for _, p := range ps {
-		copy(v.Data()[off:off+p.Size()], p.Data())
-		off += p.Size()
-	}
+	m.ParamVectorInto(v)
 	return v
 }
 

@@ -6,7 +6,8 @@ import "fedmigr/internal/tensor"
 // probability simplex. The DDPG actor ends in one so its deterministic
 // action is a distribution over migration destinations.
 type SoftmaxLayer struct {
-	out *tensor.Tensor
+	out, dx *tensor.Tensor
+	trained bool
 }
 
 // NewSoftmaxLayer returns a row-wise softmax layer.
@@ -14,22 +15,20 @@ func NewSoftmaxLayer() *SoftmaxLayer { return &SoftmaxLayer{} }
 
 // Forward implements Layer.
 func (s *SoftmaxLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := Softmax(x)
-	if train {
-		s.out = y
-	}
-	return y
+	s.out = SoftmaxInto(s.out, x)
+	s.trained = train
+	return s.out
 }
 
 // Backward implements Layer using the softmax Jacobian:
 // dx_i = y_i · (g_i − Σ_j g_j · y_j) per row.
 func (s *SoftmaxLayer) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if s.out == nil {
+	if !s.trained {
 		panic("nn: SoftmaxLayer.Backward without a training Forward")
 	}
 	n, c := grad.Dim(0), grad.Dim(1)
-	dx := tensor.New(n, c)
-	gd, yd, xd := grad.Data(), s.out.Data(), dx.Data()
+	s.dx = tensor.Ensure(s.dx, n, c)
+	gd, yd, xd := grad.Data(), s.out.Data(), s.dx.Data()
 	for i := 0; i < n; i++ {
 		dot := 0.0
 		for j := 0; j < c; j++ {
@@ -39,7 +38,7 @@ func (s *SoftmaxLayer) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			xd[i*c+j] = yd[i*c+j] * (gd[i*c+j] - dot)
 		}
 	}
-	return dx
+	return s.dx
 }
 
 // Params implements Layer.

@@ -5,17 +5,15 @@ import (
 	"sync"
 )
 
-// Arena is a size-classed recycling pool for float64 scratch buffers —
-// batch tensors, im2col matrices, gradient temporaries — that otherwise
-// dominate the trainer's allocation profile (one fresh batch tensor per
-// mini-batch per client per epoch). Buffers are grouped in power-of-two
-// classes backed by sync.Pool, so concurrent clients share one arena
-// without locking beyond sync.Pool's own sharding.
+// Arena is a size-classed recycling pool for float64 scratch buffers: the
+// model-sized vectors aggregation folds through every round (agg, core's
+// reduction tree). The training step does not use it — layers own their
+// buffers (DESIGN.md §5). Buffers are grouped in power-of-two classes
+// backed by sync.Pool, so concurrent users share one arena without
+// locking beyond sync.Pool's own sharding.
 //
-// Get returns zeroed memory: the tensor kernels (accumulating matmuls,
-// im2col padding cells, col2im scatters) all rely on zero-initialized
-// output, and a cleared buffer keeps recycled memory bit-equivalent to a
-// fresh allocation — part of the determinism contract.
+// Get returns zeroed memory, so a recycled buffer is bit-equivalent to a
+// fresh allocation for callers that accumulate into it.
 type Arena struct {
 	classes [maxClass + 1]sync.Pool
 }

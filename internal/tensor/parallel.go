@@ -34,11 +34,18 @@ func Pool() *sched.Pool { return ambientPool.Load() }
 // kernel costs more than it saves; such calls take the serial path.
 const minParallelWork = 1 << 15
 
+// serial reports whether a kernel of the given estimated work runs on the
+// calling goroutine. Kernels test it before building the closure parFor
+// needs: the closure escapes into the pool, so creating it only on the
+// parallel branch keeps the serial path allocation-free.
+func serial(work int) bool {
+	return ambientPool.Load() == nil || work < minParallelWork
+}
+
 // parFor runs fn over [0, n) through the ambient pool when the kernel's
 // estimated work clears the threshold, serially otherwise.
 func parFor(n int, work int, fn func(lo, hi int)) {
-	p := ambientPool.Load()
-	if p == nil || work < minParallelWork {
+	if serial(work) {
 		fn(0, n)
 		return
 	}
@@ -46,7 +53,7 @@ func parFor(n int, work int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	p.ParallelFor(n, grain, fn)
+	ambientPool.Load().ParallelFor(n, grain, fn) // a nil pool runs fn(0, n)
 }
 
 // GetScratch returns a zero-filled tensor backed by the shared sched

@@ -25,15 +25,28 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape.
 // It panics if any dimension is negative.
-func New(shape ...int) *Tensor {
+func New(shape ...int) *Tensor { return Ensure(nil, shape...) }
+
+// Ensure returns a tensor of the given shape for the caller to overwrite:
+// t itself, resliced, when its capacity suffices (its contents are then
+// unspecified), a fresh zero-filled tensor otherwise (always for nil t).
+// It is how layers and kernels keep one buffer across batches: storage
+// grows to the largest batch seen and is never reallocated below that.
+// It panics if any dimension is negative.
+func Ensure(t *Tensor, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// Formatting a copy keeps shape on the caller's stack.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	if t == nil || cap(t.data) < n {
+		return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	}
+	t.shape, t.data = append(t.shape[:0], shape...), t.data[:n]
+	return t
 }
 
 // Zeros is an alias for New, provided for readability at call sites.
@@ -110,10 +123,18 @@ func (t *Tensor) Clone() *Tensor {
 
 // Reshape returns a tensor sharing t's storage with a new shape of the same
 // total size. One dimension may be -1, in which case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
+func (t *Tensor) Reshape(shape ...int) *Tensor { return t.ReshapeInto(nil, shape...) }
+
+// ReshapeInto is Reshape with a reusable view header: v (nil allocates) is
+// pointed at t's storage with the new shape and returned, so a caller that
+// reshapes the same buffer every step keeps one header.
+func (t *Tensor) ReshapeInto(v *Tensor, shape ...int) *Tensor {
+	if v == nil {
+		v = &Tensor{}
+	}
+	dims := append(v.shape[:0], shape...) // a copy: shape stays on the caller's stack
 	infer, n := -1, 1
-	for i, d := range shape {
+	for i, d := range dims {
 		if d == -1 {
 			if infer >= 0 {
 				panic("tensor: at most one -1 dimension allowed in Reshape")
@@ -125,15 +146,16 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	if infer >= 0 {
 		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, dims))
 		}
-		shape[infer] = len(t.data) / n
-		n *= shape[infer]
+		dims[infer] = len(t.data) / n
+		n *= dims[infer]
 	}
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), dims, n))
 	}
-	return &Tensor{shape: shape, data: t.data}
+	v.shape, v.data = dims, t.data
+	return v
 }
 
 // SameShape reports whether t and o have identical shapes.
@@ -334,41 +356,112 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 
 // --- matrix operations --------------------------------------------------------
 
+// The three GEMMs come in destination-passing form: c is reshaped in place
+// when its capacity suffices (see Ensure; nil allocates), every element of
+// it is overwritten — nothing relies on zeroed memory — and it is returned.
+// Register tiling never reorders a sum: each c[i][j] is still 0.0 plus its
+// terms in ascending p, so results are bit-identical to the textbook loops
+// for any tile width, worker count or destination history.
+
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n).
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
+
+// MatMulInto computes C = A·B into c. Terms whose A multiplicand is zero
+// are skipped (so 0·Inf contributes nothing, and sparse gradients are cheap).
+func MatMulInto(c, a, b *Tensor) *Tensor { return axpyGEMM(c, a, b, false) }
+
+// MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n).
+func MatMulTransA(a, b *Tensor) *Tensor { return MatMulTransAInto(nil, a, b) }
+
+// MatMulTransAInto computes C = Aᵀ·B into c, with MatMulInto's zero skip.
+func MatMulTransAInto(c, a, b *Tensor) *Tensor { return axpyGEMM(c, a, b, true) }
+
+// axpyGEMM is MatMulInto (A is m×k) or MatMulTransAInto (A is k×m): the two
+// differ only in how they step through A.
+func axpyGEMM(c, a, b *Tensor, transA bool) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 tensors, got %v × %v", a.shape, b.shape))
 	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.shape, b.shape))
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	ai, ap := k, 1 // A(i,p) = a[i·ai + p·ap]
+	if transA {
+		m, k, ai, ap = k, m, 1, k
 	}
-	c := New(m, n)
-	// ikj loop order: streams B rows, good cache behaviour without blocking.
-	// Output rows are independent, so the parallel split is over i with the
-	// per-row accumulation order unchanged (bit-identical to serial).
-	parFor(m, m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.data[i*k : (i+1)*k]
-			cr := c.data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := ar[p]
-				if av == 0 {
-					continue
-				}
-				br := b.data[p*n : (p+1)*n]
-				for j, bv := range br {
-					cr[j] += av * bv
-				}
-			}
-		}
-	})
+	if k != b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v (transA=%v)", a.shape, b.shape, transA))
+	}
+	c = Ensure(c, m, n)
+	// Output rows are independent, so the parallel split is over i.
+	if serial(m * k * n) {
+		axpyRows(c.data, a.data, ai, ap, k, n, b.data, 0, m)
+	} else {
+		parFor(m, m*k*n, func(lo, hi int) { axpyRows(c.data, a.data, ai, ap, k, n, b.data, lo, hi) })
+	}
 	return c
 }
 
+// axpyRows is the row kernel MatMul and MatMulTransA share: for output rows
+// [lo, hi) of the n-wide c it sets c[i][j] = Σ_p A(i,p)·b[p][j], where
+// A(i,p) = a[i·ai+p·ap], over the nonzero A(i,p) in ascending p. Four
+// nonzero terms are gathered before touching the row, so c[i][j] is loaded
+// and stored once per four additions instead of once per addition.
+func axpyRows(c, a []float64, ai, ap, k, n int, b []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		cr := c[i*n : (i+1)*n]
+		clear(cr)
+		var av [4]float64
+		var bo [4]int
+		cnt := 0
+		for p := 0; p < k; p++ {
+			v := a[i*ai+p*ap]
+			if v == 0 {
+				continue
+			}
+			av[cnt], bo[cnt] = v, p*n
+			if cnt++; cnt == 4 {
+				cnt = 0
+				axpy4(cr, &av, b, &bo, 4)
+			}
+		}
+		axpy4(cr, &av, b, &bo, cnt)
+	}
+}
+
+// axpy4 adds the first cnt ≤ 4 gathered terms a[q]·b[off[q]:] to cr in one
+// pass, in q order: cr[j] = (((cr[j] + t0) + t1) + t2) + t3.
+func axpy4(cr []float64, a *[4]float64, b []float64, off *[4]int, cnt int) {
+	n := len(cr)
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	switch cnt {
+	case 4:
+		b0, b1, b2, b3 := b[off[0]:][:n], b[off[1]:][:n], b[off[2]:][:n], b[off[3]:][:n]
+		for j := range cr {
+			cr[j] = cr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	case 3:
+		b0, b1, b2 := b[off[0]:][:n], b[off[1]:][:n], b[off[2]:][:n]
+		for j := range cr {
+			cr[j] = cr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j]
+		}
+	case 2:
+		b0, b1 := b[off[0]:][:n], b[off[1]:][:n]
+		for j := range cr {
+			cr[j] = cr[j] + a0*b0[j] + a1*b1[j]
+		}
+	case 1:
+		b0 := b[off[0]:][:n]
+		for j := range cr {
+			cr[j] += a0 * b0[j]
+		}
+	}
+}
+
 // MatMulTransB computes C = A·Bᵀ for A (m×k) and B (n×k).
-func MatMulTransB(a, b *Tensor) *Tensor {
+func MatMulTransB(a, b *Tensor) *Tensor { return MatMulTransBInto(nil, a, b) }
+
+// MatMulTransBInto computes C = A·Bᵀ into c: a dot product per element,
+// four output columns at a time, each in its own accumulator.
+func MatMulTransBInto(c, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransB requires rank-2 tensors")
 	}
@@ -377,54 +470,42 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v × %vᵀ", a.shape, b.shape))
 	}
-	c := New(m, n)
-	parFor(m, m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.data[i*k : (i+1)*k]
-			cr := c.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				br := b.data[j*k : (j+1)*k]
-				s := 0.0
-				for p, av := range ar {
-					s += av * br[p]
-				}
-				cr[j] = s
-			}
-		}
-	})
+	c = Ensure(c, m, n)
+	if serial(m * k * n) {
+		dotRows(c.data, a.data, b.data, k, n, 0, m)
+	} else {
+		parFor(m, m*k*n, func(lo, hi int) { dotRows(c.data, a.data, b.data, k, n, lo, hi) })
+	}
 	return c
 }
 
-// MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransA requires rank-2 tensors")
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %vᵀ × %v", a.shape, b.shape))
-	}
-	c := New(m, n)
-	// Output-row split: each row i accumulates over p in ascending order,
-	// exactly the per-element order of the classic p-outer loop, so serial
-	// and parallel paths agree bit-for-bit.
-	parFor(m, m*k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cr := c.data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := a.data[p*m+i]
-				if av == 0 {
-					continue
-				}
-				br := b.data[p*n : (p+1)*n]
-				for j, bv := range br {
-					cr[j] += av * bv
-				}
+// dotRows sets c[i][j] = Σ_p a[i][p]·b[j][p] for output rows [lo, hi).
+func dotRows(c, a, b []float64, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ar := a[i*k : (i+1)*k]
+		cr := c[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0, b1 := b[j*k:][:len(ar)], b[(j+1)*k:][:len(ar)]
+			b2, b3 := b[(j+2)*k:][:len(ar)], b[(j+3)*k:][:len(ar)]
+			var s0, s1, s2, s3 float64
+			for p, av := range ar {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
 			}
+			cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
 		}
-	})
-	return c
+		for ; j < n; j++ {
+			br := b[j*k:][:len(ar)]
+			s := 0.0
+			for p, av := range ar {
+				s += av * br[p]
+			}
+			cr[j] = s
+		}
+	}
 }
 
 // Transpose returns the transpose of a 2-D tensor as a new tensor.
@@ -467,12 +548,17 @@ func (t *Tensor) AddRowVector(v *Tensor) *Tensor {
 }
 
 // SumRows returns the length-n column sums of an m×n tensor.
-func (t *Tensor) SumRows() *Tensor {
+func (t *Tensor) SumRows() *Tensor { return t.SumRowsInto(nil) }
+
+// SumRowsInto writes the column sums of an m×n tensor into o (reshaped to
+// length n; nil allocates) and returns it.
+func (t *Tensor) SumRowsInto(o *Tensor) *Tensor {
 	if t.Rank() != 2 {
 		panic("tensor: SumRows requires a rank-2 tensor")
 	}
 	m, n := t.shape[0], t.shape[1]
-	o := New(n)
+	o = Ensure(o, n)
+	clear(o.data)
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
 		for j, x := range row {

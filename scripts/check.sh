@@ -32,6 +32,11 @@ go test -race -timeout 30m ./...
 # worker-invariance proofs run again explicitly so a -run filter in the
 # suite above can never silently skip them.
 go test -race -run 'Parity|WorkerCountInvariance|ParallelRunMatchesSerial' ./internal/tensor ./internal/core .
+# Allocation-free training step, pinned without the race detector (whose
+# runtime may allocate on its own): a warmed C10CNN/MLP/ResLite step, a
+# second evaluation forward and the warmed *Into kernels must each report
+# zero allocations; the golden model digests pin the arithmetic itself.
+go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes' ./internal/tensor ./internal/nn .
 # Multi-tenant determinism under the race detector: three concurrent jobs
 # over a shared 1000-client fleet must produce bit-identical per-job
 # models at 1 and 8 workers, streaming or buffered aggregation.
@@ -56,5 +61,10 @@ go test -run 'Test100kClientStreamingSmoke' .
 # Scheduler benchmark smoke: one iteration of the 50-client round at each
 # worker count (compile + run sanity, not a measurement).
 go test -run '^$' -bench 'BenchmarkTrainer' -benchtime=1x .
+# Benchmark correctness smoke (not a measurement): its gates compare
+# Workers=1 vs W and telemetry-on vs -off model hashes on a traced pass,
+# exactly what a kernel or buffer-ownership change could break.
+bash cmd/fedmigr-bench/run.sh --workload sim_cnn_compute --seed 1 --seconds 2 --trace 1 >/dev/null
+bash cmd/fedmigr-bench/run.sh --workload sim_drl_small --seed 1 --seconds 2 --trace 1 >/dev/null
 go test -run '^$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/fednet
 echo "check.sh: all checks passed"
