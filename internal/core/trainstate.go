@@ -3,20 +3,23 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"fedmigr/internal/nn"
 	"fedmigr/internal/tensor"
+	"fedmigr/internal/wire"
 )
 
 // TrainStateVersion is the current wire version of a serialized
 // TrainState. Versioning rules (see DESIGN.md §4d and the checkpoint
 // docs): the 4-byte magic and big-endian uint32 version header never
-// change; a decoder accepts any version ≤ its own and rejects newer blobs
-// with a pointed error instead of mis-decoding them. Bump the version —
-// never reuse it — whenever a field changes meaning or layout.
-const TrainStateVersion = 1
+// change; a decoder rejects every version but the ones it has a decoder
+// for with a pointed error instead of mis-decoding it. Bump the version —
+// never reuse it — whenever a field changes meaning or layout. v1 was a
+// gob body; v2 is the fixed-width body Marshal documents. Blobs exist only
+// in flight between nodes of one session (nothing stores one), so no v1
+// decoder is kept.
+const TrainStateVersion = 2
 
 // trainStateMagic brands a TrainState blob so foreign bytes fail fast.
 var trainStateMagic = [4]byte{'F', 'M', 'T', 'S'}
@@ -100,24 +103,32 @@ func (ts *TrainState) Restore(model *nn.Sequential, opt *nn.SGD) error {
 	return nil
 }
 
-// Marshal serializes the state as magic ‖ version ‖ gob payload.
+// Marshal serializes the state as magic ‖ version ‖ body. The body is every
+// field but Version in declaration order, fixed-width little-endian
+// (internal/wire): ints and floats as 8 bytes, slices as a uint32 count
+// and their elements.
 func (ts *TrainState) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(trainStateMagic[:])
-	var ver [4]byte
-	binary.BigEndian.PutUint32(ver[:], uint32(TrainStateVersion))
-	buf.Write(ver[:])
-	enc := *ts
-	enc.Version = TrainStateVersion
-	if err := gob.NewEncoder(&buf).Encode(&enc); err != nil {
-		return nil, fmt.Errorf("core: encode TrainState: %w", err)
-	}
-	return buf.Bytes(), nil
+	b := make([]byte, 8, 128+8*(len(ts.Order)+len(ts.Params)+len(ts.Velocity)+len(ts.EffDist)))
+	copy(b, trainStateMagic[:])
+	binary.BigEndian.PutUint32(b[4:], TrainStateVersion)
+	b = wire.AppendInt(b, ts.ModelID)
+	b = wire.AppendInt(b, ts.Epoch)
+	b = wire.AppendInt(b, int(ts.Seed))
+	b = wire.AppendInts(b, ts.Order)
+	b = wire.AppendInt(b, ts.BatchCursor)
+	b = wire.AppendInt(b, ts.NumBatches)
+	b = wire.AppendFloat(b, ts.LossSum)
+	b = wire.AppendFloat(b, ts.LR)
+	b = wire.AppendFloat(b, ts.Momentum)
+	b = wire.AppendFloats(b, ts.Params)
+	b = wire.AppendFloats(b, ts.Velocity)
+	b = wire.AppendFloats(b, ts.EffDist)
+	return wire.AppendFloat(b, ts.EffSeen), nil
 }
 
 // UnmarshalTrainState decodes a blob produced by Marshal. Blobs from a
-// newer build (version > TrainStateVersion) are rejected with a pointed
-// error rather than silently mis-decoded.
+// newer or older build (version ≠ TrainStateVersion) are rejected with a
+// pointed error rather than silently mis-decoded.
 func UnmarshalTrainState(b []byte) (*TrainState, error) {
 	if len(b) < 8 || !bytes.Equal(b[:4], trainStateMagic[:]) {
 		return nil, fmt.Errorf("core: not a TrainState blob (bad magic)")
@@ -126,11 +137,23 @@ func UnmarshalTrainState(b []byte) (*TrainState, error) {
 	if ver == 0 || ver > TrainStateVersion {
 		return nil, fmt.Errorf("core: TrainState version %d is newer than this build understands (max %d) — upgrade the receiving node", ver, TrainStateVersion)
 	}
-	ts := &TrainState{}
-	if err := gob.NewDecoder(bytes.NewReader(b[8:])).Decode(ts); err != nil {
+	if ver < TrainStateVersion {
+		return nil, fmt.Errorf("core: TrainState version %d is older than this build understands (min %d) — upgrade the sending node", ver, TrainStateVersion)
+	}
+	var d wire.Decoder
+	d.Reset(b[8:])
+	ts := &TrainState{ // calls inside a composite literal run in source order
+		Version: int(ver), ModelID: d.Int(), Epoch: d.Int(), Seed: int64(d.Int()),
+		Order: d.Ints(), BatchCursor: d.Int(), NumBatches: d.Int(), LossSum: d.Float(),
+		LR: d.Float(), Momentum: d.Float(),
+		Params: d.Floats(), Velocity: d.Floats(), EffDist: d.Floats(), EffSeen: d.Float(),
+	}
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: decode TrainState v%d: %w", ver, err)
 	}
-	ts.Version = int(ver)
+	if rest := d.Rest(); len(rest) > 0 {
+		return nil, fmt.Errorf("core: decode TrainState v%d: %d trailing bytes", ver, len(rest))
+	}
 	if ts.BatchCursor < 0 || ts.BatchCursor > len(ts.Order) {
 		return nil, fmt.Errorf("core: TrainState batch cursor %d outside [0,%d]", ts.BatchCursor, len(ts.Order))
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +81,20 @@ func TestTrainStateCodecRejectsForeignAndNewerBlobs(t *testing.T) {
 	if _, err := UnmarshalTrainState(blob); err == nil ||
 		!strings.Contains(err.Error(), "newer") {
 		t.Fatalf("newer version must be rejected with a pointed error, got %v", err)
+	}
+	// v1 was a gob body; no decoder for it is kept, and the rejection says
+	// which side is behind.
+	binary.BigEndian.PutUint32(blob[4:8], 1)
+	if _, err := UnmarshalTrainState(blob); err == nil ||
+		!strings.Contains(err.Error(), "version 1 is older") {
+		t.Fatalf("a v1 blob must be rejected with a pointed error, got %v", err)
+	}
+	// A body cut short or run long is an error, not a partial state.
+	binary.BigEndian.PutUint32(blob[4:8], TrainStateVersion)
+	for _, bad := range [][]byte{blob[:len(blob)-1], blob[:20], append(blob[:len(blob):len(blob)], 0)} {
+		if _, err := UnmarshalTrainState(bad); err == nil || !strings.Contains(err.Error(), "decode TrainState v2") {
+			t.Fatalf("a %d-byte body of a %d-byte blob must fail to decode, got %v", len(bad), len(blob), err)
+		}
 	}
 	// A corrupt cursor must not survive decoding.
 	bad := &TrainState{Version: TrainStateVersion, BatchCursor: 7, Order: []int{0, 1}}
@@ -231,4 +248,56 @@ func TestChurnRunDeterministic(t *testing.T) {
 	if a.Snapshot != b.Snapshot {
 		t.Fatalf("churn accounting non-deterministic: %+v vs %+v", a.Snapshot, b.Snapshot)
 	}
+}
+
+// TestTrainStateCodecKeepsEveryField: every field Marshal is documented to
+// carry comes back bit for bit, including the ones no runtime path sets yet.
+func TestTrainStateCodecKeepsEveryField(t *testing.T) {
+	in := &TrainState{
+		Version: TrainStateVersion, ModelID: 3, Epoch: 5, Seed: -1 << 40,
+		Order: []int{2, 0, 1}, BatchCursor: 1, NumBatches: 3, LossSum: 1.25,
+		LR: 0.05, Momentum: 0.9, Params: []float64{1, -2, math.Copysign(0, -1)},
+		Velocity: []float64{0.5, 0.25, 0}, EffDist: []float64{0.25, 0.75}, EffSeen: 40,
+	}
+	blob, err := in.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := UnmarshalTrainState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) || !math.Signbit(out.Params[2]) {
+		t.Fatalf("round trip changed the state:\n in  %+v\n out %+v", in, out)
+	}
+	// Fixed-width fields: the size is a function of the slice lengths only.
+	if want := 8 + 9*8 + 4*4 + 8*(3+3+3+2); len(blob) != want {
+		t.Fatalf("blob is %d bytes, want %d", len(blob), want)
+	}
+}
+
+// FuzzUnmarshalTrainState drives the blob decoder with arbitrary bytes: it
+// must error or return a state — never panic, never allocate beyond what
+// the bytes present can fill — and an accepted blob re-marshals to itself.
+func FuzzUnmarshalTrainState(f *testing.F) {
+	valid, _ := (&TrainState{ModelID: 1, Order: []int{0, 1}, BatchCursor: 1, NumBatches: 2,
+		Params: []float64{1, 2}, Velocity: []float64{3, 4}, LR: 0.1}).Marshal()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(valid[:8])
+	f.Add([]byte("FMTS\x00\x00\x00\x02\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("not a trainstate"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts, err := UnmarshalTrainState(data)
+		if err != nil {
+			if ts != nil {
+				t.Fatalf("non-nil state alongside error %v", err)
+			}
+			return
+		}
+		again, err := ts.Marshal()
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted blob does not re-marshal to itself (%v)", err)
+		}
+	})
 }

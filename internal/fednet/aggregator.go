@@ -11,7 +11,9 @@ import (
 	"fedmigr/internal/agg"
 	"fedmigr/internal/core"
 	"fedmigr/internal/faults"
+	"fedmigr/internal/nn"
 	"fedmigr/internal/telemetry"
+	"fedmigr/internal/tensor"
 )
 
 // AggregatorConfig parameterizes an edge aggregator node.
@@ -61,9 +63,10 @@ func (c AggregatorConfig) withDefaults() AggregatorConfig {
 // aggregators changes traffic and memory, never the model. Peak memory on
 // the aggregator is O(log K) model vectors regardless of group size.
 type Aggregator struct {
-	cfg     AggregatorConfig
-	factory core.ModelFactory
-	dim     int
+	cfg AggregatorConfig
+	// shape lends its architecture to the upload check; its weights are
+	// never read or written, so upload goroutines share it.
+	shape *nn.Sequential
 
 	id int
 	k  int
@@ -96,8 +99,8 @@ func (a *Aggregator) Snapshot() (rounds, uploads, nodes, peakLive int) {
 }
 
 // NewAggregator builds an edge aggregator around the shared model factory
-// (it needs the parameter dimension and a scratch decode model, never the
-// training data).
+// (it needs the architecture to check uploads against, never the training
+// data).
 func NewAggregator(cfg AggregatorConfig, factory core.ModelFactory) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
 	if factory == nil {
@@ -107,7 +110,7 @@ func NewAggregator(cfg AggregatorConfig, factory core.ModelFactory) (*Aggregator
 		return nil, fmt.Errorf("fednet: aggregator needs a server address")
 	}
 	return &Aggregator{
-		cfg: cfg, factory: factory, dim: factory().NumParams(),
+		cfg: cfg, shape: factory(),
 		uplinks: make(map[net.Conn]struct{}),
 		nm:      newNetMetrics(cfg.Telemetry, "aggregator"),
 	}, nil
@@ -185,7 +188,8 @@ func (a *Aggregator) Run() error {
 	if err := a.nm.write(conn, &Message{Type: MsgAggHello, JobID: a.cfg.JobID, ListenAddr: ln.Addr().String()}); err != nil {
 		return err
 	}
-	welcome, err := a.nm.read(conn)
+	var rd frameReader
+	welcome, err := a.nm.read(&rd, conn)
 	if err != nil {
 		return err
 	}
@@ -207,7 +211,7 @@ func (a *Aggregator) Run() error {
 		// arbitrarily long, so the arming read carries no deadline. Close
 		// unblocks it.
 		setDeadline(conn, 0)
-		m, err := a.nm.read(conn)
+		m, err := a.nm.read(&rd, conn)
 		if err != nil {
 			if a.isClosed() {
 				return nil // Close during the idle wait is an orderly shutdown
@@ -250,13 +254,14 @@ func (a *Aggregator) dialServer() (net.Conn, error) {
 // serveRound collects the round's uploads and forwards the partial sums.
 // Each accepted connection is one client's upload session: every
 // MsgLocalUpdate on it folds into the shared accumulator at its model-id
-// slot the moment it is decoded, so the aggregator never holds more than
-// the reduction frontier plus one in-flight decode per connection. The
+// slot, decoded from the frame straight into an accumulator leaf, so the
+// aggregator never holds more than the reduction frontier plus one
+// in-flight frame per connection. The
 // round resolves when the expected upload count is reached or IOTimeout
 // passes — missing uploads simply leave their slots out of the partial
 // sums, which the server's accumulator renormalizes over.
 func (a *Aggregator) serveRound(m *Message) error {
-	acc := agg.New(a.k, a.dim)
+	acc := agg.New(a.k, a.shape.NumParams())
 	weight := func(slot int) float64 {
 		if slot < len(m.Weights) {
 			return m.Weights[slot]
@@ -301,22 +306,22 @@ func (a *Aggregator) serveRound(m *Message) error {
 		go func(conn net.Conn) {
 			defer wg.Done()
 			defer a.untrackUplink(conn)
-			tmp := a.factory()
+			var rd frameReader
 			for {
 				setDeadline(conn, a.cfg.IOTimeout)
-				um, err := a.nm.read(conn)
+				um, err := a.nm.read(&rd, conn)
 				if err != nil {
 					return // EOF after the client's last upload, or a broken peer
 				}
 				if um.Type != MsgLocalUpdate || um.ModelID < 0 || um.ModelID >= a.k {
 					return
 				}
-				if err := tmp.UnmarshalParams(um.Params); err != nil {
+				leaf := acc.Leaf()
+				if err := a.shape.UnmarshalParamsInto(um.Params, leaf); err != nil {
+					tensor.PutScratch(leaf)
 					return
 				}
 				foldMu.Lock()
-				leaf := acc.Leaf()
-				tmp.ParamVectorInto(leaf)
 				if err := acc.AddLeaf(um.ModelID, leaf, weight(um.ModelID)); err != nil {
 					foldMu.Unlock()
 					return // duplicate slot (AddLeaf released the leaf): drop it

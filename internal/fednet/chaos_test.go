@@ -99,13 +99,7 @@ func runChaosSession(t *testing.T, k, rounds, aggEvery int, plan *faults.Plan, p
 		}(i)
 		// Gate the next registration on this one landing, so client i gets
 		// server-assigned id i and the fault plan hits the intended nodes.
-		deadline := time.Now().Add(ioTimeout)
-		for srv.Alive() < i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("client %d did not register", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitSeats(t, srv, i+1, ioTimeout)
 	}
 	if err := <-srvErr; err != nil {
 		t.Fatalf("server: %v", err)

@@ -80,28 +80,11 @@ func TestChurnChaosSession(t *testing.T) {
 		}()
 	}
 	// The initial cohort registers gated, so client i gets id i and the
-	// fault plan hits the intended nodes.
-	for i := 0; i < k; i++ {
+	// fault plan hits the intended nodes; the two late joiners then dial
+	// into the running session, gated the same way, and take slots 8 and 9.
+	for i := 0; i < maxK; i++ {
 		start(i)
-		deadline := time.Now().Add(ioTimeout)
-		for srv.Alive() < i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("client %d did not register", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Two late joiners dial into the running session, gated on admission so
-	// they take slots 8 and 9 deterministically.
-	for i := k; i < maxK; i++ {
-		start(i)
-		deadline := time.Now().Add(ioTimeout)
-		for srv.Stats().Joins < i-k+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("joiner %d was not admitted", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitSeats(t, srv, i+1, ioTimeout)
 	}
 
 	if err := <-srvErr; err != nil {

@@ -104,6 +104,23 @@ type Client struct {
 	// peers tracks live inbound transfer connections so Close unblocks a
 	// goroutine parked reading one.
 	peers map[net.Conn]struct{}
+	// free holds replicas this client no longer hosts — delivered to a peer,
+	// or superseded by the next GlobalModel — for the next install to reuse
+	// instead of calling factory(). Replicas are interchangeable: every
+	// persistent tensor (BatchNorm running statistics included) is in
+	// Params(), which the install overwrites, and layer-owned step buffers
+	// carry nothing from one batch to the next (nn.Layer's rule). Dropout's
+	// private RNG is the one exception; no factory in the tree builds one.
+	// Guarded by mu: the inbound-transfer goroutine takes replicas while the
+	// main loop retires them.
+	free []*nn.Sequential
+
+	// enc is the main loop's encode buffer: each outbound model is
+	// marshalled into it and written before the next one is. rd and inRd are
+	// the read buffers of the server connection and of the inbound-transfer
+	// loop (see frameReader).
+	enc      []byte
+	rd, inRd frameReader
 
 	// Epochs counts local epochs run (instrumentation).
 	Epochs int
@@ -270,7 +287,7 @@ func (c *Client) Run() error {
 	}); err != nil {
 		return err
 	}
-	welcome, err := c.nm.read(conn)
+	welcome, err := c.nm.read(&c.rd, conn)
 	if err != nil {
 		return err
 	}
@@ -302,7 +319,7 @@ func (c *Client) Run() error {
 		} else {
 			setDeadline(conn, c.cfg.IOTimeout)
 		}
-		m, err := c.nm.read(conn)
+		m, err := c.nm.read(&c.rd, conn)
 		if err != nil {
 			return err
 		}
@@ -310,12 +327,12 @@ func (c *Client) Run() error {
 		var herr error
 		switch m.Type {
 		case MsgGlobalModel:
-			if m.Warm {
-				herr = c.installWarm(m)
-				warmWait = herr == nil
-			} else {
-				herr = c.onGlobalModel(m)
+			// A warm handoff gives a late joiner live weights; it neither
+			// trains nor signals until promoted at the next distribution.
+			if herr = c.install(m); herr == nil && !m.Warm {
+				herr = c.localUpdateAndSignal()
 			}
+			warmWait = m.Warm && herr == nil
 		case MsgMigrationOrder:
 			herr = c.onMigration(m)
 		case MsgAggregateOrder:
@@ -338,33 +355,40 @@ func (c *Client) Run() error {
 	}
 }
 
-// installWarm installs a warm-handoff global model: the late joiner starts
-// from live weights but neither trains nor signals until the server
-// promotes it at the next distribution.
-func (c *Client) installWarm(m *Message) error {
-	model := c.factory()
+// install makes the frame's global model this client's only hosted
+// replica, retiring whatever it hosted before to the free list.
+func (c *Client) install(m *Message) error {
+	c.mu.Lock()
+	for _, old := range c.hosted {
+		c.free = append(c.free, old)
+	}
+	clear(c.hosted)
+	clear(c.opts)
+	c.mu.Unlock()
+	model := c.replica()
 	if err := model.UnmarshalParams(m.Params); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.hosted = map[int]*nn.Sequential{m.ModelID: model}
-	c.opts = map[int]*nn.SGD{m.ModelID: nn.NewSGD(c.lr)}
+	c.hosted[m.ModelID] = model
+	c.opts[m.ModelID] = nn.NewSGD(c.lr)
 	c.mu.Unlock()
 	return nil
 }
 
-// onGlobalModel installs the fresh global model as this client's home
-// replica, runs the first local-updating phase and signals completion.
-func (c *Client) onGlobalModel(m *Message) error {
-	model := c.factory()
-	if err := model.UnmarshalParams(m.Params); err != nil {
-		return err
-	}
+// replica returns a model to load parameters into: a retired one when the
+// free list has any, a fresh build otherwise.
+func (c *Client) replica() *nn.Sequential {
 	c.mu.Lock()
-	c.hosted = map[int]*nn.Sequential{m.ModelID: model}
-	c.opts = map[int]*nn.SGD{m.ModelID: nn.NewSGD(c.lr)}
+	n := len(c.free)
+	if n == 0 {
+		c.mu.Unlock()
+		return c.factory()
+	}
+	model := c.free[n-1]
+	c.free = c.free[:n-1]
 	c.mu.Unlock()
-	return c.localUpdateAndSignal()
+	return model
 }
 
 // localUpdateAndSignal trains every hosted model for τ epochs and sends
@@ -491,7 +515,7 @@ func (c *Client) onAdopt(m *Message) error {
 		if err != nil {
 			return fmt.Errorf("fednet: client %d adopting model %d: %w", c.id, sb.ModelID, err)
 		}
-		model := c.factory()
+		model := c.replica()
 		opt := nn.NewSGD(c.lr)
 		if err := ts.Restore(model, opt); err != nil {
 			return fmt.Errorf("fednet: client %d adopting model %d: %w", c.id, sb.ModelID, err)
@@ -567,12 +591,12 @@ func (c *Client) receiveInbound(want int) (map[int]*nn.Sequential, error) {
 			return got, fmt.Errorf("fednet: client %d closed during transfer", c.id)
 		}
 		setDeadline(conn, c.cfg.IOTimeout/2)
-		tm, err := c.nm.expect(conn, MsgModelTransfer)
+		tm, err := c.nm.expect(&c.inRd, conn, MsgModelTransfer)
 		c.untrackPeer(conn)
 		if err != nil {
 			continue // broken transfer: the server will mark the model lost
 		}
-		model := c.factory()
+		model := c.replica()
 		if err := model.UnmarshalParams(tm.Params); err != nil {
 			continue
 		}
@@ -607,11 +631,8 @@ func (c *Client) onMigration(m *Message) error {
 		if !ok {
 			return fmt.Errorf("fednet: client %d ordered to send model %d it does not host", c.id, o.ModelID)
 		}
-		params, err := model.MarshalParams()
-		if err != nil {
-			return err
-		}
-		if err := c.sendModel(o, params); err != nil {
+		c.enc = model.AppendParams(c.enc[:0])
+		if err := c.sendModel(o, c.enc); err != nil {
 			kept = append(kept, o.ModelID)
 			c.Fallbacks++
 			continue
@@ -619,6 +640,7 @@ func (c *Client) onMigration(m *Message) error {
 		c.mu.Lock()
 		delete(c.hosted, o.ModelID)
 		delete(c.opts, o.ModelID)
+		c.free = append(c.free, model)
 		c.mu.Unlock()
 		c.Migrations++
 	}
@@ -667,13 +689,8 @@ func (c *Client) sendModel(o Order, params []byte) error {
 // the same degraded-membership semantics as a crashed client.
 func (c *Client) onAggregate(order *Message) error {
 	c.mu.Lock()
-	ids := make([]int, 0, len(c.hosted))
-	for id := range c.hosted {
-		ids = append(ids, id)
-	}
+	ids := c.hostedIDs() // ascending: a stable order keeps server reads deterministic
 	c.mu.Unlock()
-	// Stable order keeps server reads deterministic.
-	sort.Ints(ids)
 
 	up, upstream := c.conn, "server"
 	if order.AggAddr != "" {
@@ -691,13 +708,10 @@ func (c *Client) onAggregate(order *Message) error {
 		c.mu.Lock()
 		model := c.hosted[id]
 		c.mu.Unlock()
-		params, err := model.MarshalParams()
-		if err != nil {
-			return err
-		}
+		c.enc = model.AppendParams(c.enc[:0])
 		setDeadline(up, c.cfg.IOTimeout)
 		if err := c.nm.write(up, &Message{
-			Type: MsgLocalUpdate, ModelID: id, Params: params,
+			Type: MsgLocalUpdate, ModelID: id, Params: c.enc,
 			Weight: float64(c.dataset.Len()),
 		}); err != nil {
 			if upstream == "aggregator" {

@@ -2,8 +2,12 @@ package fednet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,7 +67,7 @@ func TestExpectWrongType(t *testing.T) {
 	if err := WriteMessage(&buf, &Message{Type: MsgHello}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expect(&buf, MsgWelcome); err == nil {
+	if _, err := (*netMetrics)(nil).expect(new(frameReader), &buf, MsgWelcome); err == nil {
 		t.Fatal("type mismatch must error")
 	}
 }
@@ -104,9 +108,38 @@ func TestNewClientValidation(t *testing.T) {
 	}
 }
 
+// awaitSeats blocks until the server has handed out n client seats, so the
+// caller's next client gets id n. It gates on the seat count because that
+// only grows: Alive() falls again the moment a planned crash or leave
+// lands, which — once the K-th registration has started the session — can
+// happen inside a single poll interval.
+func awaitSeats(t *testing.T, srv *Server, n int, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		srv.mu.Lock()
+		seats := srv.registered
+		srv.mu.Unlock()
+		if seats >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("client %d did not register", n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // runSession spins up a server and k clients over loopback TCP and runs a
 // full session, returning the server for inspection.
 func runSession(t *testing.T, k, rounds, aggEvery int, migrator core.Migrator) (*Server, []*Client) {
+	t.Helper()
+	return runCountedSession(t, k, rounds, aggEvery, migrator, new(atomic.Int64))
+}
+
+// runCountedSession is runSession with the shared factory's calls counted
+// into built.
+func runCountedSession(t *testing.T, k, rounds, aggEvery int, migrator core.Migrator, built *atomic.Int64) (*Server, []*Client) {
 	t.Helper()
 	train, _ := data.Synthetic(data.SyntheticConfig{
 		Classes: k, Channels: 1, Height: 4, Width: 4,
@@ -114,6 +147,7 @@ func runSession(t *testing.T, k, rounds, aggEvery int, migrator core.Migrator) (
 	})
 	parts := data.PartitionShards(train, k, 1, tensor.NewRNG(1))
 	factory := func() *nn.Sequential {
+		built.Add(1)
 		g := tensor.NewRNG(7)
 		return nn.NewSequential(
 			nn.NewFlatten(),
@@ -154,13 +188,7 @@ func runSession(t *testing.T, k, rounds, aggEvery int, migrator core.Migrator) (
 		// Gate the next registration on this one landing, so client i gets
 		// server-assigned id i regardless of goroutine scheduling (the race
 		// detector perturbs it enough to change accept order otherwise).
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.Alive() < i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("client %d did not register", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitSeats(t, srv, i+1, 10*time.Second)
 	}
 	if err := <-srvErr; err != nil {
 		t.Fatalf("server: %v", err)
@@ -229,6 +257,55 @@ func TestSessionGreedyPolicyOverTCP(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("greedy policy never migrated despite one-class-per-client data")
+	}
+}
+
+// TestGoldenSessionHash pins a whole loopback session's arithmetic: the
+// digest was produced on the commit before replicas were recycled and
+// uploads decoded straight into accumulator leaves, so a recycled replica
+// that still carried another model's weights or buffers, or a frame buffer
+// reused while its Params were still being read, moves it. amd64 only, as
+// TestGoldenModelHashes.
+func TestGoldenSessionHash(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are pinned for amd64, not %s", runtime.GOARCH)
+	}
+	srv, clients := runSession(t, 4, 3, 3, &core.GreedyEMDMigrator{})
+	moved := 0
+	for _, c := range clients {
+		moved += c.Migrations
+	}
+	if moved != 4*2*3 {
+		t.Fatalf("clients sent %d models to peers, want K·(AggEvery−1)·rounds = 24", moved)
+	}
+	blob, err := srv.GlobalModel().MarshalParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "21a4830ed9e6268537ad71bde3d1b5afe8057adf90fb72a66e82b7f6aa03fd0a"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Fatalf("3-round 4-client AggEvery=3 session: global model digest %s, want %s", got, want)
+	}
+}
+
+// TestClientRecyclesReplicas: a client builds replicas only until its free
+// list covers the most it ever hosts at once — its own model plus one
+// inbound per migration event — so the factory's call count is bounded by
+// the cohort, not by the rounds. Without the free list this session builds
+// a replica per install: 1 + K·AggEvery·rounds = 37, plus the server's.
+func TestClientRecyclesReplicas(t *testing.T) {
+	const k, rounds, aggEvery = 4, 3, 3
+	var built atomic.Int64
+	runCountedSession(t, k, rounds, aggEvery, &core.GreedyEMDMigrator{}, &built)
+	afterThree := built.Load()
+	if limit := int64(1 + 2*k); afterThree > limit {
+		t.Fatalf("factory ran %d times in a %d-round session, want at most 1 + 2K = %d", afterThree, rounds, limit)
+	}
+	built.Store(0)
+	runCountedSession(t, k, 2*rounds, aggEvery, &core.GreedyEMDMigrator{}, &built)
+	if limit := int64(1 + 2*k); built.Load() > limit {
+		t.Fatalf("factory ran %d times in a %d-round session (%d in %d rounds): the count grows with the rounds",
+			built.Load(), 2*rounds, afterThree, rounds)
 	}
 }
 

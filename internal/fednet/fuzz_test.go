@@ -3,7 +3,6 @@ package fednet
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"strings"
 	"testing"
 )
@@ -22,10 +21,15 @@ func frameFor(t testing.TB, m *Message) []byte {
 // decoder must return an error or a message — never panic, and never
 // allocate more than one readChunk ahead of the bytes actually present.
 func FuzzReadMessage(f *testing.F) {
-	// Seed corpus: a valid frame, a truncated one, a lying length prefix,
-	// an oversized prefix, and junk that is not gob at all.
+	// Seed corpus: valid frames with and without lists and Params, a
+	// truncated one, a lying length prefix, an oversized prefix, and junk
+	// that is not a frame at all.
 	valid := frameFor(f, &Message{Type: MsgCompletion, Round: 3, Loss: 0.5})
 	f.Add(valid)
+	f.Add(frameFor(f, &Message{Type: MsgMigrationOrder, Inbound: 1, Orders: []Order{{ModelID: 1, DestID: 2, DestAddr: "x:1"}}}))
+	f.Add(frameFor(f, &Message{Type: MsgLocalUpdate, ModelID: 2, Weight: 8, Params: []byte{1, 2, 3}, EffDist: []float64{0.5, 0.5}}))
+	f.Add(frameFor(f, &Message{Type: MsgPartialSum, UpdateIDs: []int{0}, Nodes: []AggNode{{Count: 1, Weight: 2, Vec: []float64{1}}}}))
+	f.Add(frameFor(f, &Message{Type: MsgMigrateState, States: []StateBlob{{ModelID: 1, Blob: []byte("FMTS")}}}))
 	f.Add(valid[:len(valid)-2])
 	f.Add([]byte{0, 0, 0, 8, 1, 2, 3}) // claims 8 bytes, carries 3
 	big := make([]byte, 4)
@@ -48,10 +52,19 @@ func FuzzReadMessage(f *testing.F) {
 		if n < 4 || n > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n, len(data))
 		}
-		// A decoded frame must re-encode; equality is not required (gob
-		// tolerates unknown fields) but the codec must stay closed.
-		if err := WriteMessage(io.Discard, m); err != nil {
+		// The codec is closed and canonical: what decodes re-encodes, and
+		// the re-encoding is a fixed point of decode∘encode. (The input itself
+		// need not be: it may name a field and then carry its zero value.)
+		var once, twice bytes.Buffer
+		if err := WriteMessage(&once, m); err != nil {
 			t.Fatalf("re-encode of decoded frame failed: %v", err)
+		}
+		m2, err := ReadMessage(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("decode of re-encoded frame failed: %v", err)
+		}
+		if err := WriteMessage(&twice, m2); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("encode∘decode∘encode moved the bytes (%v):\n %x\n %x", err, once.Bytes(), twice.Bytes())
 		}
 	})
 }
@@ -72,7 +85,8 @@ func TestReadMessageMalformedFrames(t *testing.T) {
 		{"lying prefix", []byte{0, 0, 0, 200, 1, 2, 3}, "read frame"},
 		{"just over limit", oversize, "exceeds limit"},
 		{"max uint32", []byte{0xff, 0xff, 0xff, 0xff}, "exceeds limit"},
-		{"not gob", []byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}, "decode frame"},
+		{"not gob", []byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}, "decode frame"}, // nor a frame: the name predates the hand-written codec
+		{"wrong version", []byte{0, 0, 0, 6, 'j', 'u', 'n', 'k', 0, 0}, "decode frame"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,7 +129,7 @@ func TestReadMessageAllocationBound(t *testing.T) {
 // wrong type errors rather than being handed to the caller.
 func TestReadMessageTypeMismatch(t *testing.T) {
 	wire := frameFor(t, &Message{Type: MsgShutdown})
-	if _, err := expect(bytes.NewReader(wire), MsgGlobalModel); err == nil {
+	if _, err := (*netMetrics)(nil).expect(new(frameReader), bytes.NewReader(wire), MsgGlobalModel); err == nil {
 		t.Fatal("type mismatch accepted")
 	} else if !strings.Contains(err.Error(), "Shutdown") || !strings.Contains(err.Error(), "GlobalModel") {
 		t.Fatalf("unhelpful mismatch error %q", err)

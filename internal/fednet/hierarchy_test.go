@@ -86,13 +86,7 @@ func runHierSession(t *testing.T, k, nAggs, rounds, aggEvery int, plan *faults.P
 			defer wg.Done()
 			ses.clientErrs[i] = ses.clients[i].Run()
 		}(i)
-		deadline := time.Now().Add(ioTimeout)
-		for srv.Alive() < i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("client %d did not register", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitSeats(t, srv, i+1, ioTimeout)
 	}
 	var sabWG sync.WaitGroup
 	if sabotage != nil {

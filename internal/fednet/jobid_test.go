@@ -74,13 +74,7 @@ func TestJobIDKeyedSession(t *testing.T) {
 			defer wg.Done()
 			errs[i] = c.Run()
 		}(i, c)
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.Alive() < i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("client %d did not register", i)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitSeats(t, srv, i+1, 10*time.Second)
 	}
 	if err := <-srvErr; err != nil {
 		t.Fatalf("server: %v", err)

@@ -7,19 +7,40 @@
 // to peer listeners (C2C), exactly the communication pattern FedMigr
 // exploits.
 //
-// The wire protocol is length-prefixed gob frames. Every conversation is
-// strictly turn-based per round, mirroring Fig. 2's synchronous workflow:
-// Hello/Welcome, then per round Model Distribution → (Local Updating →
-// Completion → Migration)× → Local Updating → Aggregation.
+// Every conversation is strictly turn-based per round, mirroring Fig. 2's
+// synchronous workflow: Hello/Welcome, then per round Model Distribution →
+// (Local Updating → Completion → Migration)× → Local Updating → Aggregation.
+//
+// # Wire format
+//
+// One hand-written codec serves every frame type (DESIGN.md §4e):
+//
+//	uint32 BE  body length (≤ maxFrame)
+//	byte       wireVersion
+//	byte       MsgType
+//	uint32 LE  presence mask: bit i set ⇔ field i of Message.walk is non-zero
+//	...        the present fields, fixed-width little-endian (internal/wire)
+//	...        Params, last and uncounted: the rest of the frame
+//
+// A frame's length depends on which fields are set, never on their values.
+// Params goes last so the sender writes it straight from its own buffer
+// and the receiver uses it in place: read through a connection's
+// frameReader, Params aliases that reader's buffer and is valid until the
+// next read on the same connection — every handler decodes it into a
+// replica or an accumulator leaf first. ReadMessage gives each frame a
+// buffer of its own.
 package fednet
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"slices"
 	"time"
+
+	"fedmigr/internal/wire"
 )
 
 // MsgType identifies a protocol frame.
@@ -201,7 +222,131 @@ const maxFrame = 64 << 20 // 64 MiB: far above any model in the zoo
 // allocation with a 5-byte message.
 const readChunk = 1 << 20
 
-// WriteMessage writes one length-prefixed gob frame.
+// wireVersion is the first body byte of every frame. Bump it whenever a
+// Message field is added, removed, reordered or changes width: the mask
+// names fields by position, so peers with different layouts must refuse
+// each other rather than mis-assign fields.
+const wireVersion = 1
+
+// headLen is the fixed part of a frame: length prefix, version, type, mask.
+const headLen = 4 + 1 + 1 + 4
+
+// codec walks a Message's fields once, in wire order, and either appends
+// the non-zero ones to buf while recording their mask bits (enc) or fills
+// the ones the mask names from dec. Message.walk is the only field list, so
+// encoder and decoder cannot disagree on order or width.
+type codec struct {
+	enc    bool
+	mask   uint32
+	bit    uint32 // the next field's mask bit
+	inList bool   // list elements travel whole: no mask bits inside one
+	buf    []byte
+	dec    *wire.Decoder
+}
+
+// has advances to the next field and reports whether it travels: on encode
+// when it is non-zero, on decode when the sender's mask named it.
+func (c *codec) has(nonZero bool) bool {
+	if c.inList {
+		return true
+	}
+	bit := c.bit
+	c.bit <<= 1
+	if c.enc && nonZero {
+		c.mask |= bit
+	}
+	return c.mask&bit != 0
+}
+
+func field[T any](c *codec, p *T, nonZero bool, app func([]byte, T) []byte, read func(*wire.Decoder) T) {
+	switch {
+	case !c.has(nonZero):
+	case c.enc:
+		c.buf = app(c.buf, *p)
+	default:
+		*p = read(c.dec)
+	}
+}
+
+func (c *codec) int(p *int)      { field(c, p, *p != 0, wire.AppendInt, (*wire.Decoder).Int) }
+func (c *codec) str(p *string)   { field(c, p, *p != "", wire.AppendString, (*wire.Decoder).String) }
+func (c *codec) ints(p *[]int)   { field(c, p, len(*p) > 0, wire.AppendInts, (*wire.Decoder).Ints) }
+func (c *codec) bytes(p *[]byte) { field(c, p, len(*p) > 0, wire.AppendBytes, (*wire.Decoder).Bytes) }
+func (c *codec) flag(p *bool)    { *p = c.has(*p) } // no body: the mask bit is the value
+func (c *codec) floats(p *[]float64) {
+	field(c, p, len(*p) > 0, wire.AppendFloats, (*wire.Decoder).Floats)
+}
+
+// float tests bits, not the value, so −0 and NaN travel like any other.
+func (c *codec) float(p *float64) {
+	field(c, p, math.Float64bits(*p) != 0, wire.AppendFloat, (*wire.Decoder).Float)
+}
+
+// list frames a slice of structs: a count — checked on decode against
+// elemMin bytes an element before the slice is allocated — then every
+// element's fields.
+func list[T any](c *codec, p *[]T, elemMin int, fields func(*T)) {
+	if !c.has(len(*p) > 0) {
+		return
+	}
+	if c.enc {
+		c.buf = wire.AppendCount(c.buf, len(*p))
+	} else {
+		*p = make([]T, c.dec.Count(elemMin))
+	}
+	c.inList = true
+	for i := range *p {
+		fields(&(*p)[i])
+	}
+	c.inList = false
+}
+
+// walk lists every Message field but Type (the frame's second byte) in
+// declaration order, except that Params goes last: the encoder leaves it
+// out of buf and writes it straight from the caller's slice, the decoder
+// takes the rest of the frame in place.
+func (m *Message) walk(c *codec) {
+	c.int(&m.Round)
+	c.int(&m.Epoch)
+	c.str(&m.JobID)
+	c.int(&m.ClientID)
+	c.str(&m.ListenAddr)
+	c.int(&m.NumSamples)
+	c.floats(&m.Dist)
+	c.int(&m.K)
+	c.int(&m.Rounds)
+	c.int(&m.AggEvery)
+	c.int(&m.Tau)
+	c.int(&m.BatchSize)
+	c.float(&m.LR)
+	c.float(&m.Loss)
+	list(c, &m.Orders, 20, func(o *Order) { c.int(&o.ModelID); c.int(&o.DestID); c.str(&o.DestAddr) })
+	c.int(&m.Inbound)
+	c.ints(&m.Kept)
+	c.ints(&m.Received)
+	c.int(&m.ModelID)
+	c.float(&m.Weight)
+	c.flag(&m.Warm)
+	list(c, &m.States, 12, func(s *StateBlob) { c.int(&s.ModelID); c.bytes(&s.Blob) })
+	c.floats(&m.EffDist)
+	c.int(&m.AggID)
+	c.str(&m.AggAddr)
+	c.int(&m.Expected)
+	c.floats(&m.Weights)
+	list(c, &m.Nodes, 36, func(n *AggNode) {
+		c.int(&n.Start)
+		c.int(&n.Level)
+		c.int(&n.Count)
+		c.float(&n.Weight)
+		c.floats(&n.Vec)
+	})
+	c.ints(&m.UpdateIDs)
+	if c.has(len(m.Params) > 0) && !c.enc {
+		m.Params = c.dec.Rest()
+	}
+}
+
+// WriteMessage writes one length-prefixed frame.
 func WriteMessage(w io.Writer, m *Message) error {
 	_, err := WriteMessageCount(w, m)
 	return err
@@ -209,24 +354,30 @@ func WriteMessage(w io.Writer, m *Message) error {
 
 // WriteMessageCount writes one frame and returns the bytes put on the
 // wire (length prefix included) — the quantity telemetry byte counters
-// track.
+// track. The head and m.Params go out as one vectored write (a single
+// writev on a TCP connection), so Params is never copied.
 func WriteMessageCount(w io.Writer, m *Message) (int, error) {
-	var payload frameBuffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
-		return 0, fmt.Errorf("fednet: encode %v: %w", m.Type, err)
+	c := codec{enc: true, bit: 1, buf: make([]byte, headLen, 64)}
+	m.walk(&c)
+	body := len(c.buf) - 4 + len(m.Params)
+	if body > maxFrame {
+		return 0, fmt.Errorf("fednet: encode %v: frame of %d bytes exceeds limit", m.Type, body)
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return 0, fmt.Errorf("fednet: write frame length: %w", err)
+	binary.BigEndian.PutUint32(c.buf, uint32(body))
+	c.buf[4], c.buf[5] = wireVersion, byte(m.Type)
+	binary.LittleEndian.PutUint32(c.buf[6:], c.mask)
+	bufs := net.Buffers{c.buf, m.Params}
+	if len(m.Params) == 0 {
+		bufs = bufs[:1] // an empty Write is still an operation to a net.Pipe or a fault plan
 	}
-	if _, err := w.Write(payload); err != nil {
-		return 4, fmt.Errorf("fednet: write frame: %w", err)
+	n, err := bufs.WriteTo(w)
+	if err != nil {
+		return int(n), fmt.Errorf("fednet: write frame: %w", err)
 	}
-	return 4 + len(payload), nil
+	return int(n), nil
 }
 
-// ReadMessage reads one length-prefixed gob frame.
+// ReadMessage reads one length-prefixed frame into a fresh buffer.
 func ReadMessage(r io.Reader) (*Message, error) {
 	m, _, err := ReadMessageCount(r)
 	return m, err
@@ -235,72 +386,60 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // ReadMessageCount reads one frame and returns the bytes consumed off the
 // wire (length prefix included).
 func ReadMessageCount(r io.Reader) (*Message, int, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	return new(frameReader).read(r)
+}
+
+// frameReader owns the buffer one stream's frames are read into, so a
+// long-lived connection decodes every frame in place instead of allocating
+// per frame. The price is a lifetime rule: a decoded Message's Params
+// aliases the buffer and is valid only until the next read through the same
+// frameReader. Every other field is decoded into storage of its own.
+type frameReader struct {
+	buf []byte
+	// The length prefix and the decode state are kept here rather than built
+	// per frame, so a read allocates nothing but the Message it returns.
+	prefix [4]byte
+	dec    wire.Decoder
+}
+
+func (fr *frameReader) read(r io.Reader) (*Message, int, error) {
+	if _, err := io.ReadFull(r, fr.prefix[:]); err != nil {
 		return nil, 0, fmt.Errorf("fednet: read frame length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(fr.prefix[:]))
 	if n > maxFrame {
 		return nil, 4, fmt.Errorf("fednet: frame of %d bytes exceeds limit", n)
 	}
-	// Grow the payload chunk-by-chunk as bytes arrive, so the allocation
+	// A frame the buffer already holds is read in one piece; a larger one
+	// grows the buffer chunk-by-chunk as bytes arrive, so the allocation
 	// tracks the data actually received rather than the claimed length.
-	payload := make([]byte, 0, minInt(int(n), readChunk))
-	for len(payload) < int(n) {
-		c := minInt(int(n)-len(payload), readChunk)
-		start := len(payload)
-		payload = append(payload, make([]byte, c)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+	body := fr.buf[:0]
+	for len(body) < n {
+		start := len(body)
+		end := start + min(n-start, max(readChunk, cap(body)-start))
+		body = slices.Grow(body, end-start)[:end]
+		if _, err := io.ReadFull(r, body[start:]); err != nil {
 			return nil, 4 + start, fmt.Errorf("fednet: read frame: %w", err)
 		}
 	}
-	var m Message
-	if err := gob.NewDecoder(frameReader{payload, new(int)}).Decode(&m); err != nil {
-		return nil, 4 + int(n), fmt.Errorf("fednet: decode frame: %w", err)
+	fr.buf = body
+	if n < headLen-4 {
+		return nil, 4 + n, fmt.Errorf("fednet: decode frame: %d-byte body is shorter than a frame head", n)
 	}
-	return &m, 4 + int(n), nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+	if body[0] != wireVersion {
+		return nil, 4 + n, fmt.Errorf("fednet: decode frame: wire version %d, this build speaks %d — both peers must run the same build", body[0], wireVersion)
 	}
-	return b
-}
-
-// frameBuffer is a minimal append-only buffer (avoids bytes import churn).
-type frameBuffer []byte
-
-func (b *frameBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
-// frameReader reads from a byte slice.
-type frameReader struct {
-	b   []byte
-	off *int
-}
-
-func (r frameReader) Read(p []byte) (int, error) {
-	if *r.off >= len(r.b) {
-		return 0, io.EOF
+	m := &Message{Type: MsgType(body[1])}
+	fr.dec.Reset(body[6:])
+	c := codec{mask: binary.LittleEndian.Uint32(body[2:]), bit: 1, dec: &fr.dec}
+	m.walk(&c)
+	if err := c.dec.Err(); err != nil {
+		return nil, 4 + n, fmt.Errorf("fednet: decode frame: %v: %w", m.Type, err)
 	}
-	n := copy(p, r.b[*r.off:])
-	*r.off += n
-	return n, nil
-}
-
-// expect reads a frame and verifies its type.
-func expect(r io.Reader, want MsgType) (*Message, error) {
-	m, err := ReadMessage(r)
-	if err != nil {
-		return nil, err
+	if rest := c.dec.Rest(); len(rest) > 0 || c.mask >= c.bit {
+		return nil, 4 + n, fmt.Errorf("fednet: decode frame: %v: %d trailing bytes, mask %#x", m.Type, len(rest), c.mask)
 	}
-	if m.Type != want {
-		return nil, typeMismatch(m.Type, want)
-	}
-	return m, nil
+	return m, 4 + n, nil
 }
 
 func typeMismatch(got, want MsgType) error {

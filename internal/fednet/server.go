@@ -13,6 +13,7 @@ import (
 	"fedmigr/internal/nn"
 	"fedmigr/internal/stats"
 	"fedmigr/internal/telemetry"
+	"fedmigr/internal/tensor"
 )
 
 // ServerConfig parameterizes the parameter server.
@@ -135,7 +136,6 @@ type FaultStats struct {
 // only when fewer than MinClients remain.
 type Server struct {
 	cfg      ServerConfig
-	factory  core.ModelFactory
 	global   *nn.Sequential
 	migrator core.Migrator
 	ln       net.Listener
@@ -143,14 +143,17 @@ type Server struct {
 
 	// Slot arrays are sized maxK up front so late joiners never reallocate
 	// them under a running round. Ids < members are in play; the rest are
-	// free slots for future joiners.
+	// free slots for future joiners. rd[id] is the read buffer of conns[id]
+	// (see frameReader); each phase reads a connection from one goroutine.
 	conns   []net.Conn
+	rd      []frameReader
 	addrs   []string
 	weights []float64
 
 	// Aggregator tier (cfg.Aggregators > 0): upstream connections, upload
 	// listen addresses, and liveness — guarded by mu like client state.
 	aggConns []net.Conn
+	aggRd    []frameReader
 	aggAddrs []string
 	aggAlive []bool
 
@@ -167,10 +170,11 @@ type Server struct {
 	// mid-session Hello under mu — assigning the next free id, stashing the
 	// conn, and queueing a pendingJoin — but touches no per-round array:
 	// those are written by the coordinator in promoteJoiners, so a running
-	// round never races an arriving node. warm is the current global
-	// model's serialized parameters, refreshed at each distribution, handed
-	// to joiners so they start from live weights. sealed rejects joins that
-	// arrive after the session's shutdown began.
+	// round never races an arriving node. registered counts the seats handed
+	// out so far, founders and joiners alike; unlike Alive it never falls.
+	// warm is the current global model's serialized parameters, refreshed at
+	// each distribution, handed to joiners so they start from live weights.
+	// sealed rejects joins that arrive after the session's shutdown began.
 	maxK       int
 	members    int
 	registered int
@@ -214,7 +218,7 @@ func NewServer(cfg ServerConfig, factory core.ModelFactory, migrator core.Migrat
 		migrator = core.StayMigrator{}
 	}
 	return &Server{
-		cfg: cfg, factory: factory, global: factory(), migrator: migrator,
+		cfg: cfg, global: factory(), migrator: migrator,
 		maxK: cfg.MaxClients, members: cfg.K,
 		nm: newNetMetrics(cfg.Telemetry, "server"),
 	}, nil
@@ -312,19 +316,6 @@ func (s *Server) isAlive(id int) bool {
 	return s.alive[id]
 }
 
-// aliveCount returns the number of clients still in the session.
-func (s *Server) aliveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, a := range s.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // markDead declares a client dead, closes its connection so nothing else
 // blocks on it, and records the cause. Idempotent per client.
 func (s *Server) markDead(id int, cause error) {
@@ -351,7 +342,7 @@ func (s *Server) markDead(id int, cause error) {
 // quorumErr reports the unrecoverable loss of too many clients.
 func (s *Server) quorumErr(phase string) error {
 	return fmt.Errorf("fednet: %s: %d of %d clients alive, quorum is %d",
-		phase, s.aliveCount(), s.Members(), s.cfg.MinClients)
+		phase, s.Alive(), s.Members(), s.cfg.MinClients)
 }
 
 // Members returns the number of client slots in play (initial K plus every
@@ -383,10 +374,11 @@ func (s *Server) accept() error {
 	s.mu.Lock()
 	s.conns = make([]net.Conn, maxK)
 	s.alive = make([]bool, maxK)
-	s.registered = k
 	s.aggConns = make([]net.Conn, a)
 	s.aggAlive = make([]bool, a)
 	s.mu.Unlock()
+	s.rd = make([]frameReader, maxK)
+	s.aggRd = make([]frameReader, a)
 	s.aggAddrs = make([]string, a)
 	s.addrs = make([]string, maxK)
 	s.weights = make([]float64, maxK)
@@ -396,13 +388,14 @@ func (s *Server) accept() error {
 	s.loc = make([]int, maxK)
 	s.lost = make([]bool, maxK)
 	clients, aggs := 0, 0
+	var rd frameReader
 	for clients < k || aggs < a {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return fmt.Errorf("fednet: accept: %w", err)
 		}
 		setDeadline(conn, s.cfg.IOTimeout)
-		hello, err := s.nm.read(conn)
+		hello, err := s.nm.read(&rd, conn)
 		if err != nil {
 			return err
 		}
@@ -433,6 +426,7 @@ func (s *Server) accept() error {
 			s.mu.Lock()
 			s.conns[id] = conn
 			s.alive[id] = true
+			s.registered = clients
 			s.mu.Unlock()
 			s.addrs[id] = hello.ListenAddr
 			s.weights[id] = float64(hello.NumSamples)
@@ -476,13 +470,14 @@ func (s *Server) accept() error {
 // closes at session end. Admissions are sequential, so joiner ids follow
 // arrival order deterministically.
 func (s *Server) acceptLate() {
+	var rd frameReader
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
 		setDeadline(conn, s.cfg.IOTimeout)
-		hello, err := s.nm.read(conn)
+		hello, err := s.nm.read(&rd, conn)
 		if err != nil {
 			_ = conn.Close()
 			continue
@@ -721,16 +716,19 @@ func (s *Server) broadcast(build func(id int) *Message) error {
 			s.markDead(id, err)
 		}
 	}
-	if s.aliveCount() < s.cfg.MinClients {
+	if s.Alive() < s.cfg.MinClients {
 		return s.quorumErr("broadcast")
 	}
 	return nil
 }
 
-// collect reads one message of the given type from every live client,
+// collect reads one frame of the given type from every live client,
 // concurrently, each read bounded by IOTimeout. Unresponsive clients are
 // declared dead and their slot left nil; the phase fails only when the
-// quorum is lost.
+// quorum is lost. Where a Completion is wanted, a gracefully departing
+// client answers with a MigrateState instead — the same reported loss plus
+// the in-flight states the caller reroutes to an adopter — and is marked
+// left, not dead.
 func (s *Server) collect(want MsgType) ([]*Message, error) {
 	out := make([]*Message, s.maxK)
 	var wg sync.WaitGroup
@@ -744,55 +742,23 @@ func (s *Server) collect(want MsgType) ([]*Message, error) {
 		go func(id int, conn net.Conn) {
 			defer wg.Done()
 			setDeadline(conn, s.cfg.IOTimeout)
-			m, err := s.nm.expect(conn, want)
-			if err != nil {
-				s.markDead(id, err)
-				return
-			}
-			out[id] = m
-		}(id, conn)
-	}
-	wg.Wait()
-	if s.aliveCount() < s.cfg.MinClients {
-		return nil, s.quorumErr(fmt.Sprintf("collect %v", want))
-	}
-	return out, nil
-}
-
-// collectCompletions reads each live client's end-of-phase frame: a
-// Completion, or a MigrateState from a gracefully departing client whose
-// in-flight states the caller reroutes to an adopter. Both carry the
-// client's reported loss.
-func (s *Server) collectCompletions() ([]*Message, error) {
-	out := make([]*Message, s.maxK)
-	var wg sync.WaitGroup
-	n := s.members
-	for id := 0; id < n; id++ {
-		conn := s.liveConn(id)
-		if conn == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(id int, conn net.Conn) {
-			defer wg.Done()
-			setDeadline(conn, s.cfg.IOTimeout)
-			m, err := s.nm.read(conn)
+			m, err := s.nm.read(&s.rd[id], conn)
 			switch {
 			case err != nil:
 				s.markDead(id, err)
-			case m.Type == MsgCompletion:
+			case m.Type == want:
 				out[id] = m
-			case m.Type == MsgMigrateState:
+			case want == MsgCompletion && m.Type == MsgMigrateState:
 				out[id] = m
 				s.markLeft(id)
 			default:
-				s.markDead(id, typeMismatch(m.Type, MsgCompletion))
+				s.markDead(id, typeMismatch(m.Type, want))
 			}
 		}(id, conn)
 	}
 	wg.Wait()
-	if s.aliveCount() < s.cfg.MinClients {
-		return nil, s.quorumErr("collect completions")
+	if s.Alive() < s.cfg.MinClients {
+		return nil, s.quorumErr(fmt.Sprintf("collect %v", want))
 	}
 	return out, nil
 }
@@ -857,10 +823,7 @@ func (s *Server) run() error {
 		return err
 	}
 	if s.maxK > s.cfg.K {
-		warm, err := s.global.MarshalParams()
-		if err != nil {
-			return err
-		}
+		warm := s.global.AppendParams(nil)
 		s.mu.Lock()
 		s.warm = warm
 		s.mu.Unlock()
@@ -874,11 +837,10 @@ func (s *Server) run() error {
 		// Joiners admitted during the previous round enter the cohort here,
 		// at the round boundary, so the whole round sees one membership.
 		s.promoteJoiners()
-		// Model Distribution.
-		params, err := s.global.MarshalParams()
-		if err != nil {
-			return err
-		}
+		// Model Distribution. A fresh blob every round, not a reused buffer:
+		// acceptLate hands s.warm to joiners while the round runs, so it must
+		// stay an immutable snapshot.
+		params := s.global.AppendParams(nil)
 		s.mu.Lock()
 		s.warm = params
 		s.mu.Unlock()
@@ -898,7 +860,7 @@ func (s *Server) run() error {
 		for event := 0; event < s.cfg.AggEvery; event++ {
 			// Local Updating: wait for completion signals (or graceful
 			// departures carrying in-flight state).
-			comps, err := s.collectCompletions()
+			comps, err := s.collect(MsgCompletion)
 			if err != nil {
 				return err
 			}
@@ -1117,14 +1079,17 @@ func (s *Server) aggregate(round int) error {
 		s.cfg.Telemetry.Event("partial_aggregation",
 			"round", round, "received", recv, "expected", expected, "members", s.members, "weight", wsum)
 	}
-	s.global.SetParamVector(acc.Finish(1 / wsum))
+	avg := acc.Finish(1 / wsum)
+	s.global.SetParamVector(avg)
+	tensor.PutScratch(avg)
 	return nil
 }
 
 // collectDirect orders every client to upload to the server and streams
 // the uploads into acc. Reads run on at most MaxConcurrentUploads
-// goroutines; each fully received model folds at its model-id slot the
-// moment it is decoded. A client that dies mid-upload loses only the
+// goroutines; each model is decoded from its frame straight into an
+// accumulator leaf (the global model only lends its shapes for the check)
+// and folds at its model-id slot. A client that dies mid-upload loses only the
 // uploads that had not fully arrived (the old buffered path forfeited all
 // of a dead client's uploads; streaming folds each one on arrival, which
 // strictly preserves more work under faults).
@@ -1150,21 +1115,20 @@ func (s *Server) collectDirect(round int, hosted [][]int, acc *agg.Accumulator) 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			tmp := s.factory()
 			for range hosted[id] {
 				setDeadline(conn, s.cfg.IOTimeout)
-				m, err := s.nm.expect(conn, MsgLocalUpdate)
+				m, err := s.nm.expect(&s.rd[id], conn, MsgLocalUpdate)
 				if err != nil {
 					s.markDead(id, err)
 					return
 				}
-				if err := tmp.UnmarshalParams(m.Params); err != nil {
+				leaf := acc.Leaf()
+				if err := s.global.UnmarshalParamsInto(m.Params, leaf); err != nil {
+					tensor.PutScratch(leaf)
 					s.markDead(id, err)
 					return
 				}
 				foldMu.Lock()
-				leaf := acc.Leaf()
-				tmp.ParamVectorInto(leaf)
 				if err := acc.AddLeaf(m.ModelID, leaf, s.weights[m.ModelID]); err != nil {
 					foldMu.Unlock()
 					s.markDead(id, err)
@@ -1227,7 +1191,7 @@ func (s *Server) collectHierarchical(round int, hosted [][]int, acc *agg.Accumul
 			// uploads before resolving the round, so the upstream read gets
 			// twice that budget.
 			setDeadline(conn, 2*s.cfg.IOTimeout)
-			m, err := s.nm.expect(conn, MsgPartialSum)
+			m, err := s.nm.expect(&s.aggRd[aid], conn, MsgPartialSum)
 			if err != nil {
 				s.markAggDead(aid, err)
 				return

@@ -143,14 +143,16 @@ func (nm *netMetrics) write(w io.Writer, m *Message) error {
 	return err
 }
 
-// read receives one frame, recording bytes, message type and the blocking
-// time spent waiting for it.
-func (nm *netMetrics) read(r io.Reader) (*Message, error) {
+// read receives one frame through fr (whose buffer the frame's Params
+// aliases until fr's next read), recording bytes, message type and the
+// blocking time spent waiting for it.
+func (nm *netMetrics) read(fr *frameReader, r io.Reader) (*Message, error) {
 	if nm == nil {
-		return ReadMessage(r)
+		m, _, err := fr.read(r)
+		return m, err
 	}
 	start := time.Now()
-	m, n, err := ReadMessageCount(r)
+	m, n, err := fr.read(r)
 	nm.readSecs.Observe(time.Since(start).Seconds())
 	nm.rxBytes.Add(int64(n))
 	if m != nil && m.Type <= msgTypeMax {
@@ -160,11 +162,8 @@ func (nm *netMetrics) read(r io.Reader) (*Message, error) {
 }
 
 // expect reads one frame and verifies its type.
-func (nm *netMetrics) expect(r io.Reader, want MsgType) (*Message, error) {
-	if nm == nil {
-		return expect(r, want)
-	}
-	m, err := nm.read(r)
+func (nm *netMetrics) expect(fr *frameReader, r io.Reader, want MsgType) (*Message, error) {
+	m, err := nm.read(fr, r)
 	if err != nil {
 		return nil, err
 	}

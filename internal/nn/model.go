@@ -1,13 +1,13 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
 
 	"fedmigr/internal/tensor"
+	"fedmigr/internal/wire"
 )
 
 // Sequential chains layers into a model and owns the training plumbing
@@ -167,93 +167,116 @@ func (m *Sequential) String() string {
 const paramMagic = uint32(0xFED51234)
 
 // MarshalParams serializes the model parameters to a compact binary form:
-// magic, tensor count, then per-tensor rank/shape/data. This is the payload
-// that "moves" during model migration and aggregation.
-func (m *Sequential) MarshalParams() ([]byte, error) {
-	var buf bytes.Buffer
+// magic, tensor count, then per-tensor rank/shape/data, all little-endian.
+// This is the payload that "moves" during model migration and aggregation.
+func (m *Sequential) MarshalParams() ([]byte, error) { return m.AppendParams(nil), nil }
+
+// AppendParams appends the MarshalParams form to dst, growing it at most
+// once, so a sender that ships many models can reuse one buffer.
+func (m *Sequential) AppendParams(dst []byte) []byte {
 	ps, _ := m.Params()
-	if err := binary.Write(&buf, binary.LittleEndian, paramMagic); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(ps))); err != nil {
-		return nil, err
-	}
+	need := 8
 	for _, p := range ps {
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(p.Rank())); err != nil {
-			return nil, err
-		}
-		for _, d := range p.Shape() {
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(d)); err != nil {
-				return nil, err
-			}
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, p.Data()); err != nil {
-			return nil, err
-		}
+		need += 4 + 4*p.Rank() + 8*p.Size()
 	}
-	return buf.Bytes(), nil
+	if len(dst)+need > cap(dst) {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	le := binary.LittleEndian
+	dst = le.AppendUint32(le.AppendUint32(dst, paramMagic), uint32(len(ps)))
+	for _, p := range ps {
+		dst = le.AppendUint32(dst, uint32(p.Rank()))
+		for _, d := range p.Shape() {
+			dst = le.AppendUint32(dst, uint32(d))
+		}
+		dst = wire.AppendRawFloats(dst, p.Data())
+	}
+	return dst
 }
 
 // UnmarshalParams loads parameters serialized by MarshalParams into m.
 // The tensor count and every shape must match m's architecture.
-func (m *Sequential) UnmarshalParams(data []byte) error {
-	r := bytes.NewReader(data)
-	var magic, count uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+func (m *Sequential) UnmarshalParams(data []byte) error { return m.decodeParams(data, nil) }
+
+// UnmarshalParamsInto validates a MarshalParams blob against m's
+// architecture exactly as UnmarshalParams does, but writes the values into
+// v (size NumParams(), ParamVector layout) and leaves m untouched — m only
+// lends its shapes, so one model can check uploads decoded on several
+// goroutines straight into their aggregation buffers.
+func (m *Sequential) UnmarshalParamsInto(data []byte, v *tensor.Tensor) error {
+	if v.Size() != m.NumParams() {
+		return fmt.Errorf("nn: parameter vector size %d does not match model size %d", v.Size(), m.NumParams())
+	}
+	return m.decodeParams(data, v.Data())
+}
+
+// decodeParams checks data against m's shapes and copies each tensor's
+// values into the matching span of vec, or into m's own tensors when vec
+// is nil.
+func (m *Sequential) decodeParams(data []byte, vec []float64) error {
+	// short is what a stream reader would report for a field of n bytes:
+	// io.EOF at a clean boundary, io.ErrUnexpectedEOF inside the field.
+	short := func(n int) error {
+		switch {
+		case len(data) >= n:
+			return nil
+		case len(data) == 0:
+			return io.EOF
+		}
+		return io.ErrUnexpectedEOF
+	}
+	u32 := func() (uint32, error) {
+		if err := short(4); err != nil {
+			return 0, err
+		}
+		v := binary.LittleEndian.Uint32(data)
+		data = data[4:]
+		return v, nil
+	}
+	magic, err := u32()
+	if err != nil {
 		return fmt.Errorf("nn: reading magic: %w", err)
 	}
 	if magic != paramMagic {
 		return fmt.Errorf("nn: bad parameter magic %#x", magic)
 	}
 	ps, _ := m.Params()
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+	count, err := u32()
+	if err != nil {
 		return fmt.Errorf("nn: reading tensor count: %w", err)
 	}
 	if int(count) != len(ps) {
 		return fmt.Errorf("nn: parameter count mismatch: payload has %d tensors, model has %d", count, len(ps))
 	}
 	for i, p := range ps {
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
+		rank, err := u32()
+		if err != nil {
 			return fmt.Errorf("nn: reading rank of tensor %d: %w", i, err)
 		}
 		if int(rank) != p.Rank() {
 			return fmt.Errorf("nn: tensor %d rank mismatch: payload %d, model %d", i, rank, p.Rank())
 		}
 		for j := 0; j < int(rank); j++ {
-			var d uint32
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
+			d, err := u32()
+			if err != nil {
 				return fmt.Errorf("nn: reading shape of tensor %d: %w", i, err)
 			}
 			if int(d) != p.Dim(j) {
 				return fmt.Errorf("nn: tensor %d dim %d mismatch: payload %d, model %d", i, j, d, p.Dim(j))
 			}
 		}
-		if err := binary.Read(r, binary.LittleEndian, p.Data()); err != nil {
+		dst := p.Data()
+		if vec != nil {
+			dst, vec = vec[:len(dst)], vec[len(dst):]
+		}
+		if err := short(8 * len(dst)); err != nil {
 			return fmt.Errorf("nn: reading data of tensor %d: %w", i, err)
 		}
+		wire.RawFloats(dst, data)
+		data = data[8*len(dst):]
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("nn: %d trailing bytes after parameters", r.Len())
+	if len(data) != 0 {
+		return fmt.Errorf("nn: %d trailing bytes after parameters", len(data))
 	}
 	return nil
-}
-
-// WriteParams streams the serialized parameters to w.
-func (m *Sequential) WriteParams(w io.Writer) error {
-	b, err := m.MarshalParams()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadParams loads parameters from r.
-func (m *Sequential) ReadParams(r io.Reader) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return m.UnmarshalParams(b)
 }

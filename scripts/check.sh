@@ -2,7 +2,8 @@
 # check.sh — the repo's pre-commit gate: formatting, vet, build, the full
 # test suite under the race detector (including the chaos fault-injection
 # session and the parallel-vs-serial parity tests), a trainer benchmark
-# smoke, and a short fuzz smoke over the wire-frame decoder.
+# smoke, and a short fuzz smoke over the frame, parameter-blob and
+# TrainState decoders.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,7 +37,11 @@ go test -race -run 'Parity|WorkerCountInvariance|ParallelRunMatchesSerial' ./int
 # runtime may allocate on its own): a warmed C10CNN/MLP/ResLite step, a
 # second evaluation forward and the warmed *Into kernels must each report
 # zero allocations; the golden model digests pin the arithmetic itself.
+# Likewise the wire path: a warmed model hop (marshal into the sender's
+# buffer, frame write, read through the connection's frameReader) allocates
+# a handful of small objects and nothing model-sized.
 go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes' ./internal/tensor ./internal/nn .
+go test -run 'TestFrameAllocs|TestAppendParamsReusesBuffer|TestGoldenSessionHash' ./internal/fednet ./internal/nn
 # Multi-tenant determinism under the race detector: three concurrent jobs
 # over a shared 1000-client fleet must produce bit-identical per-job
 # models at 1 and 8 workers, streaming or buffered aggregation.
@@ -63,8 +68,14 @@ go test -run 'Test100kClientStreamingSmoke' .
 go test -run '^$' -bench 'BenchmarkTrainer' -benchtime=1x .
 # Benchmark correctness smoke (not a measurement): its gates compare
 # Workers=1 vs W and telemetry-on vs -off model hashes on a traced pass,
-# exactly what a kernel or buffer-ownership change could break.
+# exactly what a kernel or buffer-ownership change could break; the net
+# workload's gates (zero FaultStats, migration count, goroutines settled,
+# sessions identical) are what a wire-path or replica-recycling change could.
 bash cmd/fedmigr-bench/run.sh --workload sim_cnn_compute --seed 1 --seconds 2 --trace 1 >/dev/null
 bash cmd/fedmigr-bench/run.sh --workload sim_drl_small --seed 1 --seconds 2 --trace 1 >/dev/null
+bash cmd/fedmigr-bench/run.sh --workload net_wire_heavy --seed 1 --seconds 2 --trace 1 >/dev/null
+# Fuzz smoke over the three hand-written decoders.
 go test -run '^$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/fednet
+go test -run '^$' -fuzz FuzzUnmarshalParams -fuzztime 5s ./internal/nn
+go test -run '^$' -fuzz FuzzUnmarshalTrainState -fuzztime 5s ./internal/core
 echo "check.sh: all checks passed"
