@@ -76,6 +76,11 @@ func (c DDPGConfig) withDefaults() DDPGConfig {
 // DDPG is the deep deterministic policy gradient agent of Alg. 1: actor
 // π(s|θ) mapping a state to a destination distribution, critic Q(s,a|ψ),
 // and slowly-updated target clones of both.
+//
+// Between calls every actor and critic gradient accumulator is zero: they
+// start zero, Adam's Step clears what it consumes, and the ∇aQ probe of
+// TrainStep runs through nn.Sequential.InputGrad, which accumulates
+// nothing. So the agent never calls ZeroGrad.
 type DDPG struct {
 	cfg DDPGConfig
 
@@ -86,6 +91,13 @@ type DDPG struct {
 	rng                  *tensor.RNG
 
 	steps int
+
+	// Agent-owned network inputs and output gradients, so a step builds no
+	// tensors: the actor's (1, StateDim) input, the critic's
+	// (1, StateDim+ActionDim) input, the target nets' (BatchSize, ·)
+	// minibatch inputs, dL/dQ and dL/dπ.
+	stateIn, criticIn, nextIn, targetIn *tensor.Tensor
+	gradQ, gradA                        *tensor.Tensor
 }
 
 // NewDDPG builds an agent for the given dimensions.
@@ -116,6 +128,7 @@ func NewDDPG(cfg DDPGConfig) *DDPG {
 	ct := mkCritic(g.Fork())
 	at.CopyParamsFrom(a)
 	ct.CopyParamsFrom(c)
+	sa := cfg.StateDim + cfg.ActionDim
 	return &DDPG{
 		cfg:          cfg,
 		actor:        a,
@@ -126,6 +139,12 @@ func NewDDPG(cfg DDPGConfig) *DDPG {
 		criticOpt:    nn.NewAdam(cfg.CriticLR),
 		Buffer:       NewPERBuffer(cfg.BufferCap, cfg.EpsilonPER, cfg.XiPER, cfg.Seed+1),
 		rng:          g.Fork(),
+		stateIn:      tensor.New(1, cfg.StateDim),
+		criticIn:     tensor.New(1, sa),
+		nextIn:       tensor.New(cfg.BatchSize, cfg.StateDim),
+		targetIn:     tensor.New(cfg.BatchSize, sa),
+		gradQ:        tensor.New(1, 1),
+		gradA:        tensor.New(1, cfg.ActionDim),
 	}
 }
 
@@ -135,26 +154,34 @@ func (d *DDPG) Steps() int { return d.steps }
 // Act returns the actor's deterministic action π(s): a probability
 // distribution over the ActionDim destinations.
 func (d *DDPG) Act(state []float64) []float64 {
-	x := tensor.FromSlice(append([]float64(nil), state...), 1, d.cfg.StateDim)
-	out := d.actor.Forward(x, false)
+	out := d.actor.Forward(d.actorInput(state), false)
 	return append([]float64(nil), out.Data()...)
 }
 
 // Q evaluates the critic for a state-action pair.
 func (d *DDPG) Q(state, action []float64) float64 {
-	x := d.concat(state, action)
-	return d.critic.Forward(x, false).Data()[0]
+	return d.critic.Forward(d.criticInput(state, action), false).Data()[0]
 }
 
-func (d *DDPG) concat(state, action []float64) *tensor.Tensor {
+// actorInput copies state into the actor's input buffer.
+func (d *DDPG) actorInput(state []float64) *tensor.Tensor {
+	if len(state) != d.cfg.StateDim {
+		panic(fmt.Sprintf("drl: state dim %d, want %d", len(state), d.cfg.StateDim))
+	}
+	copy(d.stateIn.Data(), state)
+	return d.stateIn
+}
+
+// criticInput copies (state ‖ action) into the critic's input buffer.
+func (d *DDPG) criticInput(state, action []float64) *tensor.Tensor {
 	if len(state) != d.cfg.StateDim || len(action) != d.cfg.ActionDim {
 		panic(fmt.Sprintf("drl: dims state=%d action=%d, want %d/%d",
 			len(state), len(action), d.cfg.StateDim, d.cfg.ActionDim))
 	}
-	v := make([]float64, d.cfg.StateDim+d.cfg.ActionDim)
+	v := d.criticIn.Data()
 	copy(v, state)
 	copy(v[d.cfg.StateDim:], action)
-	return tensor.FromSlice(v, 1, len(v))
+	return d.criticIn
 }
 
 // Observe stores a transition in the replay buffer.
@@ -175,6 +202,7 @@ func (d *DDPG) TrainStep() float64 {
 		return 0
 	}
 	idx, batch, isw := d.Buffer.Sample(d.cfg.BatchSize)
+	q2 := d.targetValues(batch)
 	tdSum := 0.0
 
 	for s, z := range batch {
@@ -182,45 +210,35 @@ func (d *DDPG) TrainStep() float64 {
 		// Target value h_t = r + γ·Q'(s', π'(s')) — Eq. (21).
 		h := z.Reward
 		if !z.Done {
-			nx := tensor.FromSlice(append([]float64(nil), z.NextState...), 1, d.cfg.StateDim)
-			na := d.actorTarget.Forward(nx, false)
-			q2 := d.criticTarget.Forward(d.concat(z.NextState, na.Data()), false).Data()[0]
-			h += d.cfg.Gamma * q2
+			h += d.cfg.Gamma * q2[s]
 		}
 		// Critic pass: TD error φ_z = h − Q(s,a) — Eq. (23).
-		in := d.concat(z.State, z.Action)
-		d.critic.ZeroGrad()
-		q := d.critic.Forward(in, true).Data()[0]
+		q := d.critic.Forward(d.criticInput(z.State, z.Action), true).Data()[0]
 		td := h - q
 		tdSum += math.Abs(td)
 		// d/dQ of ½(Q−h)² is (Q−h); scale by the IS weight μ_z (Eq. 27).
-		gout := tensor.FromSlice([]float64{w * (q - h)}, 1, 1)
-		d.critic.Backward(gout)
+		d.gradQ.Data()[0] = w * (q - h)
+		d.critic.Backward(d.gradQ)
 		d.criticOpt.Step(d.critic)
 
-		// ∇aQ at a = π(s) through the *updated* critic — Eq. (24).
-		sx := tensor.FromSlice(append([]float64(nil), z.State...), 1, d.cfg.StateDim)
-		a := d.actor.Forward(sx, true)
-		d.critic.ZeroGrad()
-		d.critic.Forward(d.concat(z.State, a.Data()), true)
-		dIn := d.critic.Backward(tensor.FromSlice([]float64{1}, 1, 1))
-		d.critic.ZeroGrad() // discard critic grads from the probe pass
-		gradA := dIn.Data()[d.cfg.StateDim:]
+		// ∇aQ at a = π(s) through the *updated* critic — Eq. (24). The
+		// probe reads the critic and touches no accumulator; the actor's
+		// forward caches stay paired with its Backward below.
+		a := d.actor.Forward(d.actorInput(z.State), true)
+		d.critic.Forward(d.criticInput(z.State, a.Data()), true)
+		d.gradQ.Data()[0] = 1
+		gradA := d.critic.InputGrad(d.gradQ).Data()[d.cfg.StateDim:]
 		gradNorm := 0.0
 		for _, g := range gradA {
 			gradNorm += g * g
 		}
 		gradNorm = math.Sqrt(gradNorm)
 		// Ascend: actor loss = −Q, so backprop −w·∇aQ into the actor (Eq. 28).
-		ga := tensor.New(1, d.cfg.ActionDim)
+		ga := d.gradA.Data()
 		for j, g := range gradA {
-			ga.Data()[j] = -w * g
+			ga[j] = -w * g
 		}
-		d.actor.ZeroGrad()
-		// Re-run forward to refresh caches (critic probe reused them safely,
-		// but keep the pairing explicit).
-		d.actor.Forward(sx, true)
-		d.actor.Backward(ga)
+		d.actor.Backward(d.gradA)
 		d.actorOpt.Step(d.actor)
 
 		// Priority update — Eq. (25).
@@ -231,6 +249,37 @@ func (d *DDPG) TrainStep() float64 {
 	d.softUpdate(d.criticTarget, d.critic)
 	d.steps++
 	return tdSum / float64(len(batch))
+}
+
+// targetValues returns Q'(s', π'(s')) for every transition of the
+// minibatch, row s for batch[s], from one forward pass through each target
+// net. The targets change only in softUpdate, after the minibatch, and
+// every kernel computes each output row on its own in a fixed order, so
+// row s has exactly the bits a one-row pass over batch[s] gives. Done rows
+// are computed on zeros and ignored by the caller. The result is owned by
+// the target critic.
+func (d *DDPG) targetValues(batch []Transition) []float64 {
+	sd, ad := d.cfg.StateDim, d.cfg.ActionDim
+	nx := d.nextIn.Data()
+	for s, z := range batch {
+		row := nx[s*sd : (s+1)*sd]
+		switch {
+		case z.Done:
+			clear(row)
+		case len(z.NextState) != sd:
+			panic(fmt.Sprintf("drl: next state dim %d, want %d", len(z.NextState), sd))
+		default:
+			copy(row, z.NextState)
+		}
+	}
+	na := d.actorTarget.Forward(d.nextIn, false).Data()
+	tx := d.targetIn.Data()
+	for s := range batch {
+		row := tx[s*(sd+ad) : (s+1)*(sd+ad)]
+		copy(row, nx[s*sd:(s+1)*sd])
+		copy(row[sd:], na[s*ad:(s+1)*ad])
+	}
+	return d.criticTarget.Forward(d.targetIn, false).Data()
 }
 
 // softUpdate moves target parameters toward the online network:
@@ -255,18 +304,17 @@ func (d *DDPG) ImitateActor(state []float64, action int) {
 	if action < 0 || action >= d.cfg.ActionDim {
 		panic(fmt.Sprintf("drl: imitation action %d out of range", action))
 	}
-	sx := tensor.FromSlice(append([]float64(nil), state...), 1, d.cfg.StateDim)
-	d.actor.ZeroGrad()
-	probs := d.actor.Forward(sx, true)
+	probs := d.actor.Forward(d.actorInput(state), true)
 	// d(CE)/d(probs) for a softmax output consumed directly: −1/p at the
 	// demonstrated class. Backprop through the actor's own softmax layer.
-	grad := tensor.New(1, d.cfg.ActionDim)
+	grad := d.gradA.Data()
+	clear(grad)
 	pa := probs.Data()[action]
 	if pa < 1e-9 {
 		pa = 1e-9
 	}
-	grad.Data()[action] = -1 / pa
-	d.actor.Backward(grad)
+	grad[action] = -1 / pa
+	d.actor.Backward(d.gradA)
 	d.actorOpt.Step(d.actor)
 }
 

@@ -81,6 +81,13 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.GW.AddInPlace(d.dw)
 	d.db = grad.SumRowsInto(d.db)
 	d.GB.AddInPlace(d.db)
+	return d.InputGrad(grad)
+}
+
+// InputGrad returns dL/din = grad · W and leaves GW and GB untouched: the
+// input half of Backward, for Sequential.InputGrad. It needs no training
+// Forward, since dx depends on W alone.
+func (d *Dense) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
 	d.dx = tensor.MatMulInto(d.dx, grad, d.W)
 	return d.dx
 }

@@ -49,6 +49,29 @@ func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// InputGrad back-propagates grad to the model's input like Backward, but
+// leaves every gradient accumulator untouched: it asks "how does the
+// output move with the input" of the model as it stands (DDPG's ∇aQ probe
+// of the critic). Parameter-free layers run their Backward; a layer with
+// parameters must provide InputGrad (only Dense does) or InputGrad panics.
+// The result is owned by the first layer, as Backward's is.
+func (m *Sequential) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		switch l := m.Layers[i].(type) {
+		case interface {
+			InputGrad(*tensor.Tensor) *tensor.Tensor
+		}:
+			grad = l.InputGrad(grad)
+		default:
+			if ps, _ := l.Params(); len(ps) > 0 {
+				panic(fmt.Sprintf("nn: InputGrad through %s, a layer with parameters but no InputGrad", l.Name()))
+			}
+			grad = l.Backward(grad)
+		}
+	}
+	return grad
+}
+
 // Input returns the model's own input buffer with the given shape, for a
 // mini-batch loop to fill (data.Dataset.BatchInto) and pass to Forward: one
 // batch buffer per model, grown only when a batch outgrows it.

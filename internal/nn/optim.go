@@ -139,12 +139,35 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
+// minNormal is the smallest positive normal float64. Adam stores a moment
+// below it in magnitude as exactly 0.
+const minNormal = 0x1p-1022
+
 // Step applies one Adam update from the model's accumulated gradients,
-// then clears the gradients.
+// then clears the gradients (in the same pass).
+//
+// Moments never go subnormal. A weight whose gradient is exactly 0 step
+// after step (a ReLU that stopped firing) has its first moment shrink by
+// β₁ each step; after ~6.7k steps it reaches the subnormal range, where
+// 0.9·k·2⁻¹⁰⁷⁴ rounds back to k·2⁻¹⁰⁷⁴ for k ≤ 4 and it stays for good —
+// and every subnormal operand costs the FPU a microcode assist, enough to
+// make Adam most of a DDPG step. Step therefore stores a moment below
+// 2⁻¹⁰²² in magnitude as 0. No parameter moves differently for it: with
+// a subnormal m₁, c₁ ≥ 1−β₁ = 0.1 and √v̂+ε ≥ ε = 1e-8, the update the old
+// moment gave is below LR·10·2⁻¹⁰²²/1e-8 ≈ 5e-302 (for LR ≤ 2e-3), less
+// than half an ulp of any |p| ≥ 1e-284, so p − upd == p as p − 0 == p; a
+// subnormal m₂ leaves √v̂ far below half an ulp of ε, so the denominator
+// is ε either way; and once a normal gradient arrives, β₁·m₁ < 2⁻¹⁰²² is
+// below half an ulp of (1−β₁)·g, so the leftover vanishes in the sum.
+// Moments are not persisted (drl/persist.go writes parameters only), so
+// no stored format changes. TestAdamMatchesReference pins all of this
+// against the unflushed loop.
 func (a *Adam) Step(m *Sequential) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	omb1, omb2 := 1-b1, 1-b2
+	c1 := 1 - math.Pow(b1, float64(a.t))
+	c2 := 1 - math.Pow(b2, float64(a.t))
 	ps, gs := m.Params()
 	for i, p := range ps {
 		g := gs[i]
@@ -160,13 +183,18 @@ func (a *Adam) Step(m *Sequential) {
 		m2 := a.m2[p]
 		pd, gd, m1d, m2d := p.Data(), g.Data(), m1.Data(), m2.Data()
 		for j, gv := range gd {
-			m1d[j] = a.Beta1*m1d[j] + (1-a.Beta1)*gv
-			m2d[j] = a.Beta2*m2d[j] + (1-a.Beta2)*gv*gv
-			mh := m1d[j] / c1
-			vh := m2d[j] / c2
-			pd[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+			gd[j] = 0
+			mv := b1*m1d[j] + omb1*gv
+			if math.Abs(mv) < minNormal { // one compare: the sign is a coin flip
+				mv = 0
+			}
+			vv := b2*m2d[j] + omb2*gv*gv
+			if vv < minNormal {
+				vv = 0
+			}
+			m1d[j], m2d[j] = mv, vv
+			pd[j] -= lr * (mv / c1) / (math.Sqrt(vv/c2) + eps)
 		}
-		g.Zero()
 	}
 }
 

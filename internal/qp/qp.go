@@ -10,7 +10,7 @@ package qp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fedmigr/internal/tensor"
 )
@@ -96,6 +96,7 @@ func (p *Problem) Solve() [][]float64 {
 	}
 	grad := make([]float64, k)
 	load := make([]float64, k)
+	sorted := make([]float64, k) // projectSimplex's scratch row
 	for it := 0; it < q.Iters; it++ {
 		for j := range load {
 			load[j] = 0
@@ -112,7 +113,7 @@ func (p *Problem) Solve() [][]float64 {
 			for j := 0; j < k; j++ {
 				P[i][j] += q.Step * grad[j]
 			}
-			ProjectSimplex(P[i])
+			projectSimplex(P[i], sorted)
 		}
 	}
 	return P
@@ -140,16 +141,26 @@ func (p *Problem) Objective(P [][]float64) float64 {
 // ProjectSimplex projects v in place onto the probability simplex
 // {x : x ≥ 0, Σx = 1} using the O(n log n) sort-based algorithm of
 // Held/Wolfe/Crowder.
-func ProjectSimplex(v []float64) {
+func ProjectSimplex(v []float64) { projectSimplex(v, make([]float64, len(v))) }
+
+// projectSimplex is ProjectSimplex over a caller-owned scratch row of
+// len(v). It sorts the copy ascending and walks it from the end, which
+// visits the values in the descending order the algorithm needs: entries
+// that tie are equal floats, and a tie between +0 and −0 cannot show
+// because the running sum starts at +0 and +0 + −0 = +0, so the result is
+// the same bits for any order among ties.
+func projectSimplex(v, sorted []float64) {
 	n := len(v)
 	if n == 0 {
 		return
 	}
-	u := append([]float64(nil), v...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(u)))
+	u := sorted[:n]
+	copy(u, v)
+	slices.Sort(u)
 	css := 0.0
 	rho, theta := -1, 0.0
-	for i, ui := range u {
+	for i := 0; i < n; i++ {
+		ui := u[n-1-i]
 		css += ui
 		t := (css - 1) / float64(i+1)
 		if ui-t > 0 {

@@ -2,6 +2,7 @@ package qp
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,81 @@ func TestProjectSimplexOrderPreserving(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refProjectSimplex is ProjectSimplex as it was, copying and sorting
+// descending on every call: the reference TestProjectSimplexMatchesReference
+// holds the scratch-row version to.
+func refProjectSimplex(v []float64) {
+	n := len(v)
+	if n == 0 {
+		return
+	}
+	u := append([]float64(nil), v...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(u)))
+	css := 0.0
+	rho, theta := -1, 0.0
+	for i, ui := range u {
+		css += ui
+		t := (css - 1) / float64(i+1)
+		if ui-t > 0 {
+			rho, theta = i, t
+		}
+	}
+	if rho < 0 {
+		for i := range v {
+			v[i] = 1 / float64(n)
+		}
+		return
+	}
+	for i, x := range v {
+		x -= theta
+		if x < 0 {
+			x = 0
+		}
+		v[i] = x
+	}
+}
+
+// TestProjectSimplexMatchesReference: over random rows, rows full of ties
+// (±0 included) and all-zero rows, projectSimplex through one reused,
+// stale scratch row gives the reference's bits, as does the exported
+// wrapper.
+func TestProjectSimplexMatchesReference(t *testing.T) {
+	g := tensor.NewRNG(4)
+	ties := []float64{-1, math.Copysign(0, -1), 0, 0.25, 0.5, 1, 2}
+	var rows [][]float64
+	for r := 0; r < 600; r++ {
+		v := make([]float64, 1+g.Intn(12))
+		for i := range v {
+			switch r % 3 {
+			case 0:
+				v[i] = g.NormFloat64() * 3
+			case 1:
+				v[i] = ties[g.Intn(len(ties))]
+			}
+		}
+		rows = append(rows, v)
+	}
+	rows = append(rows, []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}, []float64{0.5, 0.5, 0.5, 0.5})
+	scratch := make([]float64, 12)
+	for i := range scratch {
+		scratch[i] = math.NaN()
+	}
+	for r, row := range rows {
+		want := append([]float64(nil), row...)
+		refProjectSimplex(want)
+		got := append([]float64(nil), row...)
+		projectSimplex(got, scratch)
+		wrapped := append([]float64(nil), row...)
+		ProjectSimplex(wrapped)
+		for i := range want {
+			w := math.Float64bits(want[i])
+			if math.Float64bits(got[i]) != w || math.Float64bits(wrapped[i]) != w {
+				t.Fatalf("row %d %v: entry %d = %v (wrapper %v), reference %v", r, row, i, got[i], wrapped[i], want[i])
+			}
+		}
 	}
 }
 
