@@ -17,23 +17,26 @@ import (
 var hotAllocZones = []string{tensorPkg, nnPkg}
 
 // kernelNameRE selects the hot functions within the zones: the math
-// kernels and the layer Forward/Backward paths. Constructors, tests and
-// cold setup helpers are exempt — allocating at model-build time is fine.
-var kernelNameRE = regexp.MustCompile(`MatMul|Conv|Pool|Im2Col|Col2Im|GEMM|Forward|Backward|Softmax`)
+// kernels and the layer Forward/Backward paths, including the halves a
+// Backward splits into (accumulate, InputGrad and their *Grad helpers).
+// Constructors, tests and cold setup helpers are exempt — allocating at
+// model-build time is fine.
+var kernelNameRE = regexp.MustCompile(`MatMul|Conv|Pool|Im2Col|Col2Im|GEMM|Forward|Backward|Softmax|Grad|accumulate`)
 
 // HotAlloc flags per-step allocations inside tensor/nn kernels: make
 // calls, slice-growing appends, interface boxing inside loops, and — in a
-// layer's Forward/Backward — the tensor constructors and copying
-// arithmetic that return a fresh tensor. Two idioms are exempt because they
-// amortize to zero allocations in steady state: a make guarded by a
-// len/cap check (lazy realloc: `if cap(buf) < n { buf = make(...) }`) and
-// append into a reset slice (`append(buf[:0], ...)`). Everything else
+// layer's Forward/Backward or the halves a Backward splits into — the
+// tensor constructors and copying arithmetic that return a fresh tensor.
+// Two idioms are exempt because they amortize to zero allocations in
+// steady state: a make guarded by a len/cap check (lazy realloc:
+// `if cap(buf) < n { buf = make(...) }`) and append into a reset slice
+// (`append(buf[:0], ...)`). Everything else
 // should be a layer- or caller-owned buffer reshaped with tensor.Ensure.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags make/append/boxing allocations inside tensor and nn kernel functions " +
 		"(MatMul/Conv/Pool/Forward/Backward/...) and fresh-tensor calls (tensor.New/Clone/Map/Add/Sub) " +
-		"inside nn Forward/Backward methods; owned cap-guarded buffers (tensor.Ensure), " +
+		"inside nn Forward/Backward/InputGrad/accumulate methods; owned cap-guarded buffers (tensor.Ensure), " +
 		"lazy reallocs and append-to-reset-slice are exempt",
 	Run: runHotAlloc,
 }
@@ -58,7 +61,7 @@ func runHotAlloc(pass *analysis.Pass) {
 				continue
 			}
 			checkKernelAllocs(pass, fd.Body, false, false)
-			if pass.Pkg.ImportPath == nnPkg && fd.Recv != nil && (fd.Name.Name == "Forward" || fd.Name.Name == "Backward") {
+			if pass.Pkg.ImportPath == nnPkg && fd.Recv != nil {
 				checkFreshTensors(pass, fd.Body)
 			}
 		}

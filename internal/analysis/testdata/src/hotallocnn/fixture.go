@@ -23,6 +23,16 @@ func (s *Scale) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad.Add(grad) // want `tensor.Add in a layer's Forward/Backward`
 }
 
+// accumulate is the parameter half of a split Backward: fires.
+func (s *Scale) accumulate(grad *tensor.Tensor) {
+	s.out = grad.Sub(grad) // want `tensor.Sub in a layer's Forward/Backward`
+}
+
+// InputGrad is the input half of a split Backward: fires.
+func (s *Scale) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
+	return grad.Clone() // want `tensor.Clone in a layer's Forward/Backward`
+}
+
 // Owned is the sanctioned shape: a layer-owned buffer reshaped in place.
 type Owned struct {
 	out *tensor.Tensor

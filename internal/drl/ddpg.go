@@ -95,9 +95,13 @@ type DDPG struct {
 	// Agent-owned network inputs and output gradients, so a step builds no
 	// tensors: the actor's (1, StateDim) input, the critic's
 	// (1, StateDim+ActionDim) input, the target nets' (BatchSize, ·)
-	// minibatch inputs, dL/dQ and dL/dπ.
+	// minibatch inputs, dL/dQ and dL/dπ; and the minibatch the replay
+	// buffer samples into.
 	stateIn, criticIn, nextIn, targetIn *tensor.Tensor
 	gradQ, gradA                        *tensor.Tensor
+	idx                                 []int
+	batch                               []Transition
+	isw                                 []float64
 }
 
 // NewDDPG builds an agent for the given dimensions.
@@ -145,6 +149,9 @@ func NewDDPG(cfg DDPGConfig) *DDPG {
 		targetIn:     tensor.New(cfg.BatchSize, sa),
 		gradQ:        tensor.New(1, 1),
 		gradA:        tensor.New(1, cfg.ActionDim),
+		idx:          make([]int, cfg.BatchSize),
+		batch:        make([]Transition, cfg.BatchSize),
+		isw:          make([]float64, cfg.BatchSize),
 	}
 }
 
@@ -198,10 +205,10 @@ func (d *DDPG) Observe(t Transition) {
 // priorities (Eq. 25) and soft-update the targets. It returns the mean
 // absolute TD error of the batch (0 when the buffer is still empty).
 func (d *DDPG) TrainStep() float64 {
-	if d.Buffer.Len() == 0 {
+	idx, batch, isw := d.idx, d.batch, d.isw
+	if !d.Buffer.Sample(idx, batch, isw) {
 		return 0
 	}
-	idx, batch, isw := d.Buffer.Sample(d.cfg.BatchSize)
 	q2 := d.targetValues(batch)
 	tdSum := 0.0
 

@@ -87,7 +87,7 @@ func TestSampleBiasTowardHighPriority(t *testing.T) {
 	b.UpdatePriority(1, 10)
 	hi := 0
 	for i := 0; i < 500; i++ {
-		_, ts, _ := b.Sample(1)
+		_, ts, _ := sampleN(b, 1)
 		if ts[0].Reward == 1 {
 			hi++
 		}
@@ -103,7 +103,7 @@ func TestISWeightsNormalized(t *testing.T) {
 		b.Add(Transition{})
 		b.UpdatePriority(i, float64(i+1))
 	}
-	_, _, isw := b.Sample(16)
+	_, _, isw := sampleN(b, 16)
 	maxW := 0.0
 	for _, w := range isw {
 		if w <= 0 || w > 1+1e-12 {
@@ -120,10 +120,21 @@ func TestISWeightsNormalized(t *testing.T) {
 
 func TestSampleEmptyBuffer(t *testing.T) {
 	b := NewPERBuffer(4, 0.6, 0.6, 6)
-	idx, ts, isw := b.Sample(4)
-	if idx != nil || ts != nil || isw != nil {
-		t.Fatal("empty buffer must return nils")
+	idx, ts, isw := make([]int, 4), make([]Transition, 4), make([]float64, 4)
+	idx[0], isw[0] = 7, 0.5
+	if b.Sample(idx, ts, isw) || idx[0] != 7 || isw[0] != 0.5 {
+		t.Fatal("an empty buffer must report false and leave the slices alone")
 	}
+}
+
+// sampleN draws n transitions from b into fresh slices (nils when b is
+// empty).
+func sampleN(b *PERBuffer, n int) ([]int, []Transition, []float64) {
+	idx, ts, isw := make([]int, n), make([]Transition, n), make([]float64, n)
+	if !b.Sample(idx, ts, isw) {
+		return nil, nil, nil
+	}
+	return idx, ts, isw
 }
 
 func TestUpdatePriorityPanicsOutOfRange(t *testing.T) {

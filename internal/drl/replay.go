@@ -40,6 +40,7 @@ type PERBuffer struct {
 	cap   int
 	items []Transition
 	prio  []float64
+	ps    []float64 // the Eq. (26) table, rebuilt by every Sample
 	next  int
 	maxP  float64
 	rng   *tensor.RNG
@@ -105,10 +106,13 @@ func (b *PERBuffer) UpdatePriority(idx int, p float64) {
 	}
 }
 
-// probs materializes Eq. (26) over the current buffer. Callers must hold
-// b.mu.
+// probs materializes Eq. (26) over the current buffer into the buffer's
+// own table and returns it. Callers must hold b.mu.
 func (b *PERBuffer) probs() []float64 {
-	ps := make([]float64, len(b.prio))
+	if cap(b.ps) < len(b.prio) {
+		b.ps = make([]float64, len(b.prio), b.cap)
+	}
+	ps := b.ps[:len(b.prio)]
 	sum := 0.0
 	for i, p := range b.prio {
 		v := math.Pow(p, b.Xi)
@@ -127,19 +131,22 @@ func (b *PERBuffer) probs() []float64 {
 	return ps
 }
 
-// Sample draws n transitions (with replacement) according to Eq. (26) and
-// returns their buffer indices, the transitions, and the normalized
-// importance-sampling weights of Eq. (29).
-func (b *PERBuffer) Sample(n int) (idx []int, ts []Transition, isw []float64) {
+// Sample draws len(idx) transitions (with replacement) according to
+// Eq. (26) into the caller's slices, which must have equal lengths: their
+// buffer indices into idx, the transitions into ts, and the normalized
+// importance-sampling weights of Eq. (29) into isw. It reports false, and
+// writes nothing, when the buffer is empty.
+func (b *PERBuffer) Sample(idx []int, ts []Transition, isw []float64) bool {
+	n := len(idx)
+	if len(ts) != n || len(isw) != n {
+		panic(fmt.Sprintf("drl: Sample into %d indices, %d transitions, %d weights", n, len(ts), len(isw)))
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.items) == 0 {
-		return nil, nil, nil
+		return false
 	}
 	ps := b.probs()
-	idx = make([]int, n)
-	ts = make([]Transition, n)
-	isw = make([]float64, n)
 	maxW := 0.0
 	for s := 0; s < n; s++ {
 		r := b.rng.Float64()
@@ -165,13 +172,13 @@ func (b *PERBuffer) Sample(n int) (idx []int, ts []Transition, isw []float64) {
 			isw[s] /= maxW
 		}
 	}
-	return idx, ts, isw
+	return true
 }
 
-// SampleProbabilities exposes the current Eq. (26) distribution (testing
-// and diagnostics).
+// SampleProbabilities returns a copy of the current Eq. (26) distribution
+// (testing and diagnostics).
 func (b *PERBuffer) SampleProbabilities() []float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.probs()
+	return append([]float64(nil), b.probs()...)
 }

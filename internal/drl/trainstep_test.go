@@ -10,15 +10,78 @@ import (
 	"fedmigr/internal/tensor"
 )
 
+// refProbs is PERBuffer.probs as it was before the buffer kept its table:
+// a fresh Eq. (26) slice per call. Callers hold b.mu.
+func (b *PERBuffer) refProbs() []float64 {
+	ps := make([]float64, len(b.prio))
+	sum := 0.0
+	for i, p := range b.prio {
+		v := math.Pow(p, b.Xi)
+		ps[i] = v
+		sum += v
+	}
+	if sum <= 0 {
+		for i := range ps {
+			ps[i] = 1 / float64(len(ps))
+		}
+		return ps
+	}
+	for i := range ps {
+		ps[i] /= sum
+	}
+	return ps
+}
+
+// refSample is PERBuffer.Sample as it was before it filled caller-owned
+// slices: the reference TestPERSampleMatchesReference holds Sample to.
+func (b *PERBuffer) refSample(n int) (idx []int, ts []Transition, isw []float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.items) == 0 {
+		return nil, nil, nil
+	}
+	ps := b.refProbs()
+	idx = make([]int, n)
+	ts = make([]Transition, n)
+	isw = make([]float64, n)
+	maxW := 0.0
+	for s := 0; s < n; s++ {
+		r := b.rng.Float64()
+		acc := 0.0
+		chosen := len(ps) - 1
+		for i, p := range ps {
+			acc += p
+			if r < acc {
+				chosen = i
+				break
+			}
+		}
+		idx[s] = chosen
+		ts[s] = b.items[chosen]
+		w := math.Pow(float64(len(b.items))*ps[chosen], -b.Xi)
+		isw[s] = w
+		if w > maxW {
+			maxW = w
+		}
+	}
+	if maxW > 0 {
+		for s := range isw {
+			isw[s] /= maxW
+		}
+	}
+	return idx, ts, isw
+}
+
 // refTrainStep is DDPG.TrainStep as it was before the target passes were
-// batched and the critic probe went input-only: one-row target passes per
-// sample, a second actor forward, ZeroGrad around every backward. It is
-// the reference TestTrainStepMatchesReference holds TrainStep to.
+// batched, the critic probe went input-only and the minibatch moved into
+// agent-owned slices: one-row target passes per sample, a second actor
+// forward, ZeroGrad around every backward, a freshly allocated sample. It
+// is the reference TestTrainStepMatchesReference holds TrainStep to.
 func (d *DDPG) refTrainStep() float64 {
 	if d.Buffer.Len() == 0 {
 		return 0
 	}
-	idx, batch, isw := d.Buffer.Sample(d.cfg.BatchSize)
+	idx, batch, isw := d.Buffer.refSample(d.cfg.BatchSize)
 	tdSum := 0.0
 
 	for s, z := range batch {
@@ -47,7 +110,9 @@ func (d *DDPG) refTrainStep() float64 {
 		a := d.actor.Forward(sx, true)
 		d.critic.ZeroGrad()
 		d.critic.Forward(d.refConcat(z.State, a.Data()), true)
-		dIn := d.critic.Backward(tensor.FromSlice([]float64{1}, 1, 1))
+		one := tensor.FromSlice([]float64{1}, 1, 1)
+		d.critic.Backward(one)
+		dIn := d.critic.InputGrad(one)
 		d.critic.ZeroGrad() // discard critic grads from the probe pass
 		gradA := dIn.Data()[d.cfg.StateDim:]
 		gradNorm := 0.0
@@ -197,9 +262,42 @@ func TestTrainStepMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTrainStepAllocations: once warmed, a training step allocates only
-// what the replay buffer's Sample returns (indices, transitions, weights)
-// and the probability table it draws from.
+// TestPERSampleMatchesReference draws from two buffers built alike, one
+// through Sample into reused slices and one through the reference, while
+// the ring fills, wraps and has its priorities rewritten, at ξ = 0.6 and
+// at ξ = 0 (uniform): every index, transition and weight must agree bit
+// for bit.
+func TestPERSampleMatchesReference(t *testing.T) {
+	for _, xi := range []float64{0.6, 0} {
+		got, want := NewPERBuffer(12, 0.6, xi, 51), NewPERBuffer(12, 0.6, xi, 51)
+		g := tensor.NewRNG(52)
+		idx, ts, isw := make([]int, 5), make([]Transition, 5), make([]float64, 5)
+		for step := 0; step < 40; step++ {
+			tr := Transition{State: []float64{float64(step)}, Reward: g.NormFloat64()}
+			got.Add(tr)
+			want.Add(tr)
+			ok := got.Sample(idx, ts, isw)
+			wIdx, wTs, wIsw := want.refSample(len(idx))
+			if !ok {
+				t.Fatalf("ξ=%v step %d: Sample reported an empty buffer", xi, step)
+			}
+			for s := range idx {
+				if idx[s] != wIdx[s] || &ts[s].State[0] != &wTs[s].State[0] ||
+					math.Float64bits(isw[s]) != math.Float64bits(wIsw[s]) {
+					t.Fatalf("ξ=%v step %d draw %d: (%d, %v, %v), reference (%d, %v, %v)",
+						xi, step, s, idx[s], ts[s].State, isw[s], wIdx[s], wTs[s].State, wIsw[s])
+				}
+				p := got.Priority(g.NormFloat64(), g.NormFloat64()*float64(step))
+				got.UpdatePriority(idx[s], p)
+				want.UpdatePriority(idx[s], p)
+			}
+		}
+	}
+}
+
+// TestTrainStepAllocations: once warmed, a training step touches the heap
+// zero times; the minibatch, the probability table and every network
+// buffer are reused.
 func TestTrainStepAllocations(t *testing.T) {
 	if tensor.Pool() != nil {
 		t.Skip("a worker pool is installed: parallel kernels allocate their closures")
@@ -211,7 +309,7 @@ func TestTrainStepAllocations(t *testing.T) {
 		d.Observe(randomTransition(g, cfg, i))
 	}
 	d.TrainStep()
-	if n := testing.AllocsPerRun(5, func() { d.TrainStep() }); n > 4 {
-		t.Fatalf("a warmed TrainStep allocates %v times, want at most 4", n)
+	if n := testing.AllocsPerRun(5, func() { d.TrainStep() }); n != 0 {
+		t.Fatalf("a warmed TrainStep allocates %v times, want 0", n)
 	}
 }

@@ -62,15 +62,40 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: accumulate, then the input gradient.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.accumulate(grad)
+	return c.colGrad()
+}
+
+// accumulate adds dK and db to GK and GB: the parameter half of Backward,
+// which Sequential.Backward runs alone on a model's lowest parameterised
+// layer.
+func (c *Conv2D) accumulate(grad *tensor.Tensor) {
+	c.loadGrad(grad)
+	// dK = gmᵀ · cols, (F, C*KH*KW) like the kernel; db = column sums of gm.
+	c.dk = tensor.MatMulTransAInto(c.dk, c.gm, c.cols)
+	c.GK.AddInPlace(c.dk)
+	c.db = c.gm.SumRowsInto(c.db)
+	c.GB.AddInPlace(c.db)
+}
+
+// InputGrad returns dL/din and leaves GK and GB untouched: the input half
+// of Backward, for Sequential.InputGrad. Like Backward it needs a training
+// Forward, which records the input geometry.
+func (c *Conv2D) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
+	c.loadGrad(grad)
+	return c.colGrad()
+}
+
+// loadGrad rearranges grad (N,F,OH,OW) into gm, (N*OH*OW, F).
+func (c *Conv2D) loadGrad(grad *tensor.Tensor) {
 	if len(c.inShape) == 0 {
 		panic("nn: Conv2D.Backward without a training Forward")
 	}
 	f := c.K.Dim(0)
 	n, h, w := c.inShape[0], c.inShape[2], c.inShape[3]
 	oh, ow := c.P.OutSize(h, w)
-	// Rearrange grad (N,F,OH,OW) to (N*OH*OW, F).
 	c.gm = tensor.Ensure(c.gm, n*oh*ow, f)
 	gd, gmd, ohw := grad.Data(), c.gm.Data(), oh*ow
 	for ni := 0; ni < n; ni++ {
@@ -81,12 +106,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dK = gmᵀ · cols, (F, C*KH*KW) like the kernel; db = column sums of gm.
-	c.dk = tensor.MatMulTransAInto(c.dk, c.gm, c.cols)
-	c.GK.AddInPlace(c.dk)
-	c.db = c.gm.SumRowsInto(c.db)
-	c.GB.AddInPlace(c.db)
-	// dcols = gm · kmat ; dx = Col2Im(dcols).
+}
+
+// colGrad returns dx = Col2Im(gm · kmat) for the loaded gm.
+func (c *Conv2D) colGrad() *tensor.Tensor {
 	c.dcols = tensor.MatMulInto(c.dcols, c.gm, c.kmat)
 	c.dx = tensor.Col2ImInto(tensor.Ensure(c.dx, c.inShape...), c.dcols, c.P)
 	return c.dx
@@ -167,6 +190,19 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := grad
 	for i := len(r.Body) - 1; i >= 0; i-- {
 		g = r.Body[i].Backward(g)
+	}
+	r.dx = sumInto(r.dx, g, grad)
+	return r.dx
+}
+
+// InputGrad returns dL/din = grad + the body's input gradient and leaves
+// every accumulator in the body untouched, so Sequential.InputGrad runs
+// through residual networks. Every body layer with parameters must have an
+// InputGrad, as in Sequential.InputGrad.
+func (r *Residual) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
+	g := grad
+	for i := len(r.Body) - 1; i >= 0; i-- {
+		g = inputGrad(r.Body[i], g)
 	}
 	r.dx = sumInto(r.dx, g, grad)
 	return r.dx

@@ -20,6 +20,13 @@ import (
 // loss w.r.t. its output and returns the gradient w.r.t. its input,
 // accumulating parameter gradients internally.
 //
+// A layer with parameters may split Backward in two: an InputGrad method
+// (the input gradient alone, accumulating nothing), which
+// Sequential.InputGrad requires of every such layer, and an unexported
+// accumulate (the parameter gradients alone), which Sequential.Backward
+// runs instead of Backward on a model's lowest parameterised layer. Dense,
+// Conv2D and, for InputGrad, Residual do.
+//
 // Ownership: every layer owns its outputs. A tensor returned by Forward or
 // Backward lives in a buffer of that layer — grown only when a batch needs
 // more capacity than it has, so a steady-state step allocates nothing — and
@@ -71,17 +78,23 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return d.out.AddRowVector(d.B)
 }
 
-// Backward implements Layer.
+// Backward implements Layer: accumulate, then InputGrad.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.accumulate(grad)
+	return d.InputGrad(grad)
+}
+
+// accumulate adds dW = gradᵀ · x and db = column sums of grad to GW and
+// GB: the parameter half of Backward, which Sequential.Backward runs alone
+// on a model's lowest parameterised layer.
+func (d *Dense) accumulate(grad *tensor.Tensor) {
 	if d.in == nil {
 		panic("nn: Dense.Backward without a training Forward")
 	}
-	// dW = gradᵀ · x ; db = column sums of grad ; dx = grad · W.
 	d.dw = tensor.MatMulTransAInto(d.dw, grad, d.in)
 	d.GW.AddInPlace(d.dw)
 	d.db = grad.SumRowsInto(d.db)
 	d.GB.AddInPlace(d.db)
-	return d.InputGrad(grad)
 }
 
 // InputGrad returns dL/din = grad · W and leaves GW and GB untouched: the
@@ -102,6 +115,11 @@ func (d *Dense) Name() string { return fmt.Sprintf("Dense(%d→%d)", d.W.Dim(1),
 
 // ReLU applies max(0, x) elementwise. Its own output doubles as the
 // backward mask: out > 0 exactly where the input was.
+//
+// Both passes keep a value where the comparison holds and write +0
+// elsewhere (NaN, ±0 and negatives alike), through a compare-produced bit
+// mask instead of a branch: the sign of an activation is data, and a
+// branch on it mispredicts about half the time.
 type ReLU struct {
 	out, dx *tensor.Tensor
 }
@@ -112,13 +130,10 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape()...)
-	yd := r.out.Data()
-	for i, v := range x.Data() {
-		if v > 0 {
-			yd[i] = v
-		} else {
-			yd[i] = 0
-		}
+	xd := x.Data()
+	yd := r.out.Data()[:len(xd)]
+	for i, v := range xd {
+		yd[i] = math.Float64frombits(math.Float64bits(v) & -b2u(v > 0))
 	}
 	return r.out
 }
@@ -126,15 +141,22 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	r.dx = tensor.Ensure(r.dx, grad.Shape()...)
-	yd, dxd := r.out.Data(), r.dx.Data()
-	for i, g := range grad.Data() {
-		if yd[i] > 0 {
-			dxd[i] = g
-		} else {
-			dxd[i] = 0
-		}
+	gd := grad.Data()
+	yd, dxd := r.out.Data()[:len(gd)], r.dx.Data()[:len(gd)]
+	for i, g := range gd {
+		dxd[i] = math.Float64frombits(math.Float64bits(g) & -b2u(yd[i] > 0))
 	}
 	return r.dx
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a SETcc, so
+// -b2u(cond) is an all-ones or all-zeros select mask without a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // Params implements Layer.

@@ -16,9 +16,12 @@ import (
 type Sequential struct {
 	Layers []Layer
 
-	// ps/gs cache the flattened parameter lists of the first listed layers.
+	// ps/gs cache the flattened parameter lists of the first listed layers;
+	// bottom is the index of the lowest of them with parameters, or listed
+	// when none has any.
 	ps, gs []*tensor.Tensor
 	listed int
+	bottom int
 
 	in, lossGrad *tensor.Tensor // owned buffers, see Input and CrossEntropy
 }
@@ -40,36 +43,54 @@ func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward back-propagates the loss gradient through all layers,
-// accumulating parameter gradients.
-func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+// Backward back-propagates the loss gradient (dL/d output) and adds every
+// parameter's gradient to its accumulator. It computes no input gradient:
+// it stops at the lowest layer with parameters, running only that layer's
+// parameter half where it has one (see Layer), and skips the layers below
+// it, because no parameter reads a gradient computed there. For dL/d input
+// call InputGrad after Backward, with the same grad; it gives the bits a
+// full back-propagation would.
+func (m *Sequential) Backward(grad *tensor.Tensor) {
+	m.Params() // keeps bottom current if Layers grew
+	for i := len(m.Layers) - 1; i > m.bottom; i-- {
 		grad = m.Layers[i].Backward(grad)
+	}
+	if m.bottom == len(m.Layers) {
+		return
+	}
+	switch l := m.Layers[m.bottom].(type) {
+	case interface{ accumulate(*tensor.Tensor) }:
+		l.accumulate(grad)
+	default:
+		l.Backward(grad)
+	}
+}
+
+// InputGrad back-propagates grad to the model's input and leaves every
+// gradient accumulator untouched: it asks "how does the output move with
+// the input" of the model as it stands (DDPG's ∇aQ probe of the critic),
+// and, after a Backward, returns the input gradient that step implies.
+// Parameter-free layers run their Backward; a layer with parameters must
+// provide InputGrad (Dense, Conv2D and Residual do) or InputGrad panics.
+// The result is owned by the first layer (see Layer).
+func (m *Sequential) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		grad = inputGrad(m.Layers[i], grad)
 	}
 	return grad
 }
 
-// InputGrad back-propagates grad to the model's input like Backward, but
-// leaves every gradient accumulator untouched: it asks "how does the
-// output move with the input" of the model as it stands (DDPG's ∇aQ probe
-// of the critic). Parameter-free layers run their Backward; a layer with
-// parameters must provide InputGrad (only Dense does) or InputGrad panics.
-// The result is owned by the first layer, as Backward's is.
-func (m *Sequential) InputGrad(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		switch l := m.Layers[i].(type) {
-		case interface {
-			InputGrad(*tensor.Tensor) *tensor.Tensor
-		}:
-			grad = l.InputGrad(grad)
-		default:
-			if ps, _ := l.Params(); len(ps) > 0 {
-				panic(fmt.Sprintf("nn: InputGrad through %s, a layer with parameters but no InputGrad", l.Name()))
-			}
-			grad = l.Backward(grad)
-		}
+// inputGrad is one layer's step of InputGrad.
+func inputGrad(l Layer, grad *tensor.Tensor) *tensor.Tensor {
+	if l, ok := l.(interface {
+		InputGrad(*tensor.Tensor) *tensor.Tensor
+	}); ok {
+		return l.InputGrad(grad)
 	}
-	return grad
+	if ps, _ := l.Params(); len(ps) > 0 {
+		panic(fmt.Sprintf("nn: InputGrad through %s, a layer with parameters but no InputGrad", l.Name()))
+	}
+	return l.Backward(grad)
 }
 
 // Input returns the model's own input buffer with the given shape, for a
@@ -94,8 +115,12 @@ func (m *Sequential) CrossEntropy(logits *tensor.Tensor, labels []int) (float64,
 func (m *Sequential) Params() ([]*tensor.Tensor, []*tensor.Tensor) {
 	if m.listed != len(m.Layers) || m.ps == nil {
 		m.ps, m.gs = []*tensor.Tensor{}, []*tensor.Tensor{}
-		for _, l := range m.Layers {
+		m.bottom = len(m.Layers)
+		for i, l := range m.Layers {
 			p, g := l.Params()
+			if len(p) > 0 && m.bottom == len(m.Layers) {
+				m.bottom = i
+			}
 			m.ps = append(m.ps, p...)
 			m.gs = append(m.gs, g...)
 		}

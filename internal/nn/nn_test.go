@@ -89,7 +89,7 @@ func TestTanhGradients(t *testing.T) {
 }
 
 func TestInputGradient(t *testing.T) {
-	// Backward must also return a correct dL/dx (needed by DDPG's ∇aQ).
+	// InputGrad after Backward must give a correct dL/dx (needed by DDPG's ∇aQ).
 	g := tensor.NewRNG(5)
 	m := NewSequential(NewDense(g, 3, 4), NewReLU(), NewDense(g, 4, 2))
 	x := tensor.Randn(g, 1, 1, 3)
@@ -97,7 +97,8 @@ func TestInputGradient(t *testing.T) {
 	m.ZeroGrad()
 	out := m.Forward(x, true)
 	_, gr := CrossEntropy(out, labels)
-	dx := m.Backward(gr)
+	m.Backward(gr)
+	dx := m.InputGrad(gr)
 	ng := numGrad(x, func() float64 {
 		out := m.Forward(x, false)
 		l, _ := CrossEntropy(out, labels)

@@ -163,9 +163,9 @@ func floatBits(t *tensor.Tensor) []uint64 {
 	return bits
 }
 
-// TestInputGradMatchesBackward: InputGrad returns Backward's input gradient
-// bit for bit and leaves every accumulator as it found it (nonzero here,
-// from an earlier Backward).
+// TestInputGradMatchesBackward: InputGrad returns the input gradient of a
+// full back-propagation (refBackward) bit for bit and leaves every
+// accumulator as it found it (nonzero here, from an earlier Backward).
 func TestInputGradMatchesBackward(t *testing.T) {
 	for name, c := range inputGradShapes() {
 		m := c.m
@@ -188,7 +188,7 @@ func TestInputGradMatchesBackward(t *testing.T) {
 				}
 			}
 		}
-		want := floatBits(m.Backward(grad))
+		want := floatBits(refBackward(m, grad))
 		if len(got) != len(want) {
 			t.Fatalf("%s: InputGrad gave %d values, Backward %d", name, len(got), len(want))
 		}
@@ -201,14 +201,18 @@ func TestInputGradMatchesBackward(t *testing.T) {
 }
 
 // TestInputGradPanicsWithoutLayerSupport: a layer with parameters but no
-// InputGrad (Conv2D) must not be silently run through Backward.
+// InputGrad (BatchNorm2D) must not be silently run through Backward.
 func TestInputGradPanicsWithoutLayerSupport(t *testing.T) {
-	m := NewC10CNN(tensor.NewRNG(23), stepSpec)
+	g := tensor.NewRNG(23)
+	m := NewSequential(
+		NewConv2D(g, stepSpec.Channels, 4, 3, 3, 1, 1), NewBatchNorm2D(4), NewReLU(),
+		NewFlatten(), NewDense(g, 4*stepSpec.Height*stepSpec.Width, stepSpec.Classes),
+	)
 	x, _ := fillBatch(m, 2, 24)
 	out := m.Forward(x, true)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("InputGrad through a Conv2D model did not panic")
+			t.Fatal("InputGrad through a BatchNorm2D model did not panic")
 		}
 	}()
 	m.InputGrad(tensor.New(out.Shape()...))

@@ -85,7 +85,8 @@ func passBits(m *Sequential, n int, seed int64, train bool) []uint64 {
 	if train {
 		m.ZeroGrad()
 		_, grad := m.CrossEntropy(logits, y)
-		dx := m.Backward(grad)
+		m.Backward(grad)
+		dx := m.InputGrad(grad)
 		_, gs := m.Params()
 		out = append(append(out, gs...), dx)
 	}

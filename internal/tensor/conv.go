@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 
 	"fedmigr/internal/sched"
 )
@@ -255,6 +256,12 @@ func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, p ConvParams) (*Tensor, []
 	return out, arg
 }
 
+// maxPoolPlanes pools planes [plo, phi). Each window starts from its first
+// in-bounds cell and, in row-major order, takes a cell only where
+// v > best: ties keep the earlier cell, a NaN is never taken and, once
+// best, never replaced. The take is a compare-produced mask rather than a
+// branch, because the comparison's outcome is data and predicts badly. A
+// window lying wholly in the padding yields 0 and argmax -1.
 func maxPoolPlanes(out []float64, arg []int, x *Tensor, p ConvParams, plo, phi int) {
 	h, w := x.shape[2], x.shape[3]
 	oh, ow := p.OutSize(h, w)
@@ -265,21 +272,37 @@ func maxPoolPlanes(out []float64, arg []int, x *Tensor, p ConvParams, plo, phi i
 			y0, y1 := max(oy*p.StrideH-p.PadH, 0), min(oy*p.StrideH-p.PadH+p.KernelH, h)
 			for ox := 0; ox < ow; ox++ {
 				x0, x1 := max(ox*p.StrideW-p.PadW, 0), min(ox*p.StrideW-p.PadW+p.KernelW, w)
-				best, bi := 0.0, -1
+				oi := (pl*oh+oy)*ow + ox
+				if y0 >= y1 || x0 >= x1 {
+					out[oi], arg[oi] = 0, -1
+					continue
+				}
+				bi := base + y0*w + x0
+				best := math.Float64bits(x.data[bi])
 				for iy := y0; iy < y1; iy++ {
 					off := base + iy*w
 					for i := off + x0; i < off+x1; i++ {
-						if v := x.data[i]; bi < 0 || v > best {
-							best, bi = v, i
-						}
+						v := x.data[i]
+						take := -b2u(v > math.Float64frombits(best))
+						best ^= (best ^ math.Float64bits(v)) & take
+						bi ^= (bi ^ i) & int(take)
 					}
 				}
-				oi := (pl*oh+oy)*ow + ox
-				out[oi] = best
+				out[oi] = math.Float64frombits(best)
 				arg[oi] = bi
 			}
 		}
 	}
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a SETcc, so
+// -b2u(cond) is an all-ones or all-zeros select mask without a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // MaxPool2DBackward scatters the pooled-output gradient g back to an

@@ -309,6 +309,104 @@ func TestMaxPoolIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// refMaxPoolPlanes is maxPoolPlanes as it was before the window select
+// went branch-free.
+func refMaxPoolPlanes(out []float64, arg []int, x *Tensor, p ConvParams, plo, phi int) {
+	h, w := x.shape[2], x.shape[3]
+	oh, ow := p.OutSize(h, w)
+	for pl := plo; pl < phi; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < oh; oy++ {
+			y0, y1 := max(oy*p.StrideH-p.PadH, 0), min(oy*p.StrideH-p.PadH+p.KernelH, h)
+			for ox := 0; ox < ow; ox++ {
+				x0, x1 := max(ox*p.StrideW-p.PadW, 0), min(ox*p.StrideW-p.PadW+p.KernelW, w)
+				best, bi := 0.0, -1
+				for iy := y0; iy < y1; iy++ {
+					off := base + iy*w
+					for i := off + x0; i < off+x1; i++ {
+						if v := x.data[i]; bi < 0 || v > best {
+							best, bi = v, i
+						}
+					}
+				}
+				oi := (pl*oh+oy)*ow + ox
+				out[oi] = best
+				arg[oi] = bi
+			}
+		}
+	}
+}
+
+// TestMaxPoolSelectMatchesReference holds the branch-free window select to
+// the branchy one, bit for bit in value and index, on inputs seeded with
+// NaNs of both signs, ±0 and ±Inf, on all-equal windows and on ties drawn
+// from a few values, with stride ≠ kernel and with padding ≥ kernel
+// (windows wholly in padding), into dirty destinations.
+func TestMaxPoolSelectMatchesReference(t *testing.T) {
+	negNaN := math.Float64frombits(0xfff8000000000001)
+	specials := []float64{math.NaN(), negNaN, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	inputs := map[string]func(g *RNG, x *Tensor){
+		"specials": func(g *RNG, x *Tensor) {
+			for i := range x.data {
+				if x.data[i] = g.NormFloat64(); g.Intn(3) == 0 {
+					x.data[i] = specials[g.Intn(len(specials))]
+				}
+			}
+		},
+		"equal": func(g *RNG, x *Tensor) {
+			for i := range x.data {
+				x.data[i] = 1.5
+			}
+		},
+		"signed zeros": func(g *RNG, x *Tensor) {
+			for i := range x.data {
+				x.data[i] = specials[2+g.Intn(2)]
+			}
+		},
+		"ties": func(g *RNG, x *Tensor) {
+			for i := range x.data {
+				x.data[i] = float64(g.Intn(3) - 1)
+			}
+		},
+	}
+	geoms := []ConvParams{
+		{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2},
+		{KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2},
+		{KernelH: 2, KernelW: 3, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1},
+		{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2},
+		{KernelH: 2, KernelW: 2, StrideH: 1, StrideW: 3, PadH: 3, PadW: 2},
+	}
+	for name, fill := range inputs {
+		for gi, p := range geoms {
+			g := NewRNG(int64(100 + gi))
+			// Large enough that 8 workers split the planes.
+			n, c, h, w := 64, 8, 16, 15
+			x := New(n, c, h, w)
+			fill(g, x)
+			size := poolOutSize(x, p)
+			oh, ow := p.OutSize(h, w)
+			want, wantArg := New(n, c, oh, ow), make([]int, size)
+			refMaxPoolPlanes(want.data, wantArg, x, p, 0, n*c)
+			for _, workers := range intoWorkers {
+				withPool(workers, func() {
+					what := fmt.Sprintf("%s geometry %d workers=%d", name, gi, workers)
+					arg := make([]int, size)
+					for i := range arg {
+						arg[i] = -7
+					}
+					out, arg := MaxPool2DInto(dirty(size), arg, x, p)
+					requireBitEqual(t, what, want, out)
+					for i := range wantArg {
+						if arg[i] != wantArg[i] {
+							t.Fatalf("%s: argmax %d is %d, reference %d", what, i, arg[i], wantArg[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestSumRowsIntoAndEnsure(t *testing.T) {
 	g := NewRNG(3)
 	x := randTensor(g, 5, 7)

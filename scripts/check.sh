@@ -39,10 +39,12 @@ go test -race -run 'Parity|WorkerCountInvariance|ParallelRunMatchesSerial' ./int
 # zero allocations; the golden model digests pin the arithmetic itself.
 # Likewise the wire path: a warmed model hop (marshal into the sender's
 # buffer, frame write, read through the connection's frameReader) allocates
-# a handful of small objects and nothing model-sized. The DDPG step is
-# held to its pre-optimisation references (kept in the test files) bit for
-# bit — Adam, TrainStep, the input-only critic probe, the simplex
-# projection — and a warmed TrainStep to its allocation budget.
+# a handful of small objects and nothing model-sized. The optimised step
+# is held to its pre-optimisation references (kept in the test files) bit
+# for bit — the branch-free max-pool select and ReLU, the backward that
+# stops at the lowest parameterised layer, Conv2D.InputGrad, Adam,
+# TrainStep, PER sampling, the input-only critic probe, the simplex
+# projection — and a warmed TrainStep must allocate nothing.
 go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|MatchesReference|InputGrad|TestTrainStepAllocations' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp .
 go test -run 'TestFrameAllocs|TestAppendParamsReusesBuffer|TestGoldenSessionHash' ./internal/fednet ./internal/nn
 # Multi-tenant determinism under the race detector: three concurrent jobs
