@@ -1,12 +1,11 @@
-// Package fedmigr_test holds the benchmark harness: one testing.B
-// benchmark per table and figure of the paper (regenerating the same
-// rows/series at reduced scale) plus ablation benches for the design
-// choices DESIGN.md calls out. Run with:
+// Package fedmigr_test holds the trainer benchmarks: a full round at the
+// paper's test-bed scale across worker counts, and the telemetry off/on
+// pair that bounds the instrumentation's cost. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkTrainer -benchmem .
 //
-// Each experiment benchmark reports the wall time of regenerating the
-// artifact; the artifact's content is what EXPERIMENTS.md records.
+// The repo's measured benchmark is cmd/fedmigr-bench; the paper artifacts
+// are regenerated and timed by cmd/fedmigr-exp.
 package fedmigr_test
 
 import (
@@ -15,182 +14,15 @@ import (
 	"testing"
 
 	fedmigr "fedmigr"
-	"fedmigr/internal/drl"
-	"fedmigr/internal/experiments"
-	"fedmigr/internal/qp"
 	"fedmigr/internal/telemetry"
-	"fedmigr/internal/tensor"
 )
-
-// benchScale keeps the full bench suite in the minutes range on one core.
-const benchScale = 0.25
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(experiments.Params{Scale: benchScale, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep.Print(io.Discard)
-	}
-}
-
-// One benchmark per paper artifact (Sec. III-A and Sec. IV).
-
-func BenchmarkFig3(b *testing.B)   { benchExperiment(b, "fig3") }
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "tab1") }
-func BenchmarkFig4(b *testing.B)   { benchExperiment(b, "fig4") }
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "tab2") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "tab3") }
-func BenchmarkFig5(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)  { benchExperiment(b, "fig11") }
-
-// Extension artifacts (DESIGN.md §8): component ablations, the Sec. II-C
-// theory check, and the sync-vs-async comparison.
-func BenchmarkAblations(b *testing.B)  { benchExperiment(b, "abl") }
-func BenchmarkDivergence(b *testing.B) { benchExperiment(b, "div") }
-func BenchmarkAsync(b *testing.B)      { benchExperiment(b, "async") }
-
-// --- ablation benches --------------------------------------------------------
-
-// ablationOptions is the shared small workload for policy ablations.
-func ablationOptions(mig fedmigr.MigratorKind, seed int64) fedmigr.Options {
-	return fedmigr.Options{
-		Scheme:    fedmigr.SchemeFedMigr,
-		Migrator:  mig,
-		Dataset:   fedmigr.DatasetC10,
-		Partition: fedmigr.PartitionShards,
-		Model:     fedmigr.ModelMLP,
-		Clients:   10, LANs: 3,
-		PerClass: 10, Noise: 1.6,
-		Epochs: 20, AggEvery: 5,
-		Seed: seed,
-	}
-}
-
-func benchPolicy(b *testing.B, mig fedmigr.MigratorKind) {
-	b.Helper()
-	acc := 0.0
-	for i := 0; i < b.N; i++ {
-		res, err := fedmigr.Run(ablationOptions(mig, int64(i+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc += res.BestAcc()
-	}
-	b.ReportMetric(100*acc/float64(b.N), "acc%")
-}
-
-// BenchmarkAblationPolicy* compare migration policies at matched budget:
-// the learned/greedy policies should beat random, and all should beat
-// staying put (the paper's core claim).
-func BenchmarkAblationPolicyGreedy(b *testing.B) { benchPolicy(b, fedmigr.MigratorGreedyEMD) }
-func BenchmarkAblationPolicyRandom(b *testing.B) { benchPolicy(b, fedmigr.MigratorRandom) }
-func BenchmarkAblationPolicyCross(b *testing.B)  { benchPolicy(b, fedmigr.MigratorCrossLAN) }
-func BenchmarkAblationPolicyWithin(b *testing.B) { benchPolicy(b, fedmigr.MigratorWithinLAN) }
-func BenchmarkAblationPolicyStay(b *testing.B)   { benchPolicy(b, fedmigr.MigratorStay) }
-
-// benchDDPGTrain measures one EMPG training step (Alg. 1 lines 10–20) at a
-// given PER prioritization exponent — ξ=0 ablates prioritization to
-// uniform replay.
-func benchDDPGTrain(b *testing.B, xi float64) {
-	b.Helper()
-	agent := drl.NewDDPG(drl.DDPGConfig{StateDim: drl.StateDim(10), ActionDim: 10, BatchSize: 16, XiPER: xi, Seed: 1})
-	g := tensor.NewRNG(2)
-	st := make([]float64, drl.StateDim(10))
-	ac := make([]float64, 10)
-	for i := 0; i < 256; i++ {
-		for j := range st {
-			st[j] = g.Float64()
-		}
-		for j := range ac {
-			ac[j] = 0
-		}
-		ac[g.Intn(10)] = 1
-		agent.Observe(drl.Transition{
-			State:  append([]float64(nil), st...),
-			Action: append([]float64(nil), ac...),
-			Reward: g.NormFloat64(), NextState: append([]float64(nil), st...),
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.TrainStep()
-	}
-}
-
-// BenchmarkAblationPEROn/Off compare prioritized vs uniform replay cost.
-func BenchmarkAblationPEROn(b *testing.B)  { benchDDPGTrain(b, 0.6) }
-func BenchmarkAblationPEROff(b *testing.B) { benchDDPGTrain(b, -1) } // ξ<0 → uniform replay
-
-// BenchmarkQPSolve measures the FLMM relaxation (S-COP of Fig. 6) per
-// solve at K=50.
-func BenchmarkQPSolve(b *testing.B) {
-	g := tensor.NewRNG(3)
-	const k = 50
-	u := make([][]float64, k)
-	for i := range u {
-		u[i] = make([]float64, k)
-		for j := range u[i] {
-			u[i][j] = g.NormFloat64()
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := &qp.Problem{Utility: u, Iters: 50}
-		_ = qp.RoundArgmax(p.Solve())
-	}
-}
-
-// BenchmarkDRLInference measures actor inference (the fast path of Fig. 6)
-// at K=50.
-func BenchmarkDRLInference(b *testing.B) {
-	agent := drl.NewDDPG(drl.DDPGConfig{StateDim: drl.StateDim(50), ActionDim: 50, Seed: 4})
-	st := make([]float64, drl.StateDim(50))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = agent.Act(st)
-	}
-}
-
-// BenchmarkLocalEpoch measures one federated epoch (all replicas, one pass)
-// of the C10-CNN workload — the compute kernel every experiment spends its
-// time in.
-func BenchmarkLocalEpoch(b *testing.B) {
-	o := fedmigr.Options{
-		Scheme: fedmigr.SchemeFedAvg, Dataset: fedmigr.DatasetC10,
-		Model: fedmigr.ModelC10CNN, Clients: 10, LANs: 3,
-		PerClass: 10, Epochs: 1, AggEvery: 1, Seed: 1,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fedmigr.Run(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkTrainerRound measures one federated round at the paper's
 // test-bed scale (50 clients, CNN replicas) across worker counts — the
 // scheduler's headline number. The workers=1 subbenchmark is the serial
-// baseline; speedups are ratios against it (scripts/bench.sh computes
-// them into BENCH_sched.json). On a single-core host all worker counts
-// collapse to the same wall time; the determinism tests guarantee the
-// results are identical either way.
+// baseline; speedups are ratios against it. On a single-core host all
+// worker counts collapse to the same wall time; the determinism tests
+// guarantee the results are identical either way.
 func BenchmarkTrainerRound(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("clients=50/workers=%d", workers), func(b *testing.B) {

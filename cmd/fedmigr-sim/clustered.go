@@ -12,9 +12,8 @@ import (
 // EMD into k cluster models training concurrently as fleet jobs, with
 // optional periodic re-evaluation (-recluster-every) migrating drifted
 // clients between cluster models. With -target set, the run stops at the
-// first round whose routed accuracy reaches it and reports the round count
-// — the number scripts/bench.sh sweeps. The trailing summary lines are
-// machine-parseable (key=value).
+// first round whose routed accuracy reaches it and reports the round count.
+// The trailing summary lines are machine-parseable (key=value).
 func runClustered(o fedmigr.ClusteredOptions, maxRounds, ckptEvery int, ckptDir string, resume, quiet bool) error {
 	c, err := fedmigr.NewClustered(o)
 	if err != nil {
@@ -100,8 +99,8 @@ func clusterNames(c *fedmigr.Clustered) []string {
 // runAnalytic drives the one-shot analytic baseline (-analytic): a frozen
 // seeded random-feature extractor plus a closed-form ridge head solved in
 // exactly one aggregation round. The summary line is machine-parseable;
-// scripts/bench.sh divides an iterative scheme's traffic by upload_bytes
-// to get the one-shot communication saving.
+// an iterative scheme's traffic divided by upload_bytes is the one-shot
+// communication saving.
 func runAnalytic(o fedmigr.AnalyticOptions, quiet bool) error {
 	s, err := fedmigr.NewAnalytic(o)
 	if err != nil {

@@ -54,8 +54,7 @@ func main() {
 		epsilon   = flag.Float64("epsilon", 0, "LDP privacy budget (0 = off)")
 		cohort    = flag.Int("cohort", 0, "per-round participant cohort (0 = every client trains every round; >0 samples that many and keeps only their models hydrated — O(cohort) memory)")
 		minCohort = flag.Int("min-cohort", 0, "cohort quorum under fault churn (default 1)")
-		fanout    = flag.Int("aggregators", 0, "simulated edge-aggregator fan-out: uploads stream client→gateway→cloud as partial sums (0/1 = flat; bit-identical model either way)")
-		buffered  = flag.Bool("buffered-agg", false, "use the legacy buffered aggregation (materializes every upload at once; baseline for -memstats)")
+		fanout    = flag.Int("aggregators", 0, "simulated edge-aggregator fan-out: uploads stream client→gateway→cloud as partial sums (0/1 = flat; the sum is bit-identical for any fan-out, but with a migrator the extra transfer accounting shifts its jittered cost draws)")
 		rshards   = flag.Int("replica-shards", 0, "physical data shards for -partition replicate (default 64)")
 		memstats  = flag.Bool("memstats", false, "print a parseable post-run memory line (heap after GC, OS footprint, hydrated-model high-water mark)")
 		workers   = flag.Int("workers", 0, "parallel workers for client training and tensor kernels (0 = NumCPU, 1 = serial; results are identical for any value, so -resume checkpoints are worker-independent)")
@@ -151,7 +150,6 @@ func main() {
 		CohortSize:      *cohort,
 		MinCohort:       *minCohort,
 		Aggregators:     *fanout,
-		BufferedAgg:     *buffered,
 		ReplicaShards:   *rshards,
 		Workers:         *workers,
 		Seed:            *seed,
@@ -333,8 +331,8 @@ func main() {
 		fmt.Printf("telemetry trace written to %s\n", *tracePath)
 	}
 	if *memstats {
-		// One line, machine-parseable: scripts/bench.sh and check.sh grep
-		// this to assert the streaming path's memory stays flat in K.
+		// One line, machine-parseable: comparing it across -clients shows
+		// whether the streaming path's memory stays flat in K.
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)

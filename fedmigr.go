@@ -139,13 +139,12 @@ type Options struct {
 	// MinCohort is the cohort quorum under fault churn (default 1).
 	MinCohort int
 	// Aggregators simulates a LAN edge-aggregator tier with this fan-out:
-	// uploads stream client → gateway → cloud as partial sums. Purely a
-	// traffic/time accounting change — the global model is bit-identical.
+	// uploads stream client → gateway → cloud as partial sums. The sum is
+	// bit-identical for any fan-out; with a migrator and cost jitter > 0
+	// (the default cost model has 0.1), the fan-out's extra transfer
+	// accounting shifts the migrator's cost draws and so can change the
+	// model.
 	Aggregators int
-	// BufferedAgg restores the legacy buffered aggregation path (all
-	// uploads materialized at once) — the baseline the streaming
-	// accumulator is parity-tested and benchmarked against.
-	BufferedAgg bool
 	// RoundOffset aligns the cohort sampling stream after a checkpoint
 	// resume: set it to the number of aggregation rounds already consumed.
 	RoundOffset int
@@ -387,7 +386,6 @@ func coreConfig(o Options, mech *privacy.Mechanism) core.Config {
 		CohortSize:      o.CohortSize,
 		MinCohort:       o.MinCohort,
 		Aggregators:     o.Aggregators,
-		BufferedAgg:     o.BufferedAgg,
 		RoundOffset:     o.RoundOffset,
 		Seed:            o.Seed,
 	}

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"runtime"
 	"testing"
+
+	"fedmigr/internal/edgenet"
 )
 
 // streamOpts is the shared shape of the parity runs: 16 clients so a
@@ -41,26 +43,30 @@ func runDigest(t *testing.T, o Options) [32]byte {
 	return sha256.Sum256(b)
 }
 
-// TestStreamingAggregationParity is the tentpole's end-to-end proof: the
-// streaming accumulator produces bit-identical global parameters to the
-// buffered baseline for every worker count and edge-aggregator fan-out.
-// The reduction tree's shape is fixed by the slot set alone, so WHERE the
-// partial sums are computed (flat, or grouped onto 1/4/16 simulated
-// aggregators) and HOW leaves are materialized (all at once, or streamed)
-// must never leak into the float64 result.
+// TestStreamingAggregationParity is the streaming path's end-to-end
+// proof: the global parameters are bit-identical for every worker count
+// and edge-aggregator fan-out. The reduction tree's shape is fixed by the
+// slot set alone, so WHERE the partial sums are computed (flat, or grouped
+// onto 1/4/16 simulated aggregators) must never leak into the float64
+// result. Each run gets a fresh jitter-free cost model: with jitter, a
+// fan-out's extra transfer accounting shifts the migrator's cost draws
+// (Options.Aggregators), and this test is about the sum, not that stream.
+// Ten epochs put several migration events after an aggregation.
 func TestStreamingAggregationParity(t *testing.T) {
-	base := streamOpts()
-	base.BufferedAgg = true
-	base.Workers = 1
-	want := runDigest(t, base)
+	opts := func(workers, fanout int) Options {
+		o := streamOpts()
+		o.Epochs = 10
+		o.Cost = edgenet.DefaultCostModel()
+		o.Workers = workers
+		o.Aggregators = fanout
+		return o
+	}
+	want := runDigest(t, opts(1, 0))
 
 	for _, workers := range []int{1, 8} {
 		for _, fanout := range []int{1, 4, 16} {
-			o := streamOpts()
-			o.Workers = workers
-			o.Aggregators = fanout
-			if got := runDigest(t, o); got != want {
-				t.Fatalf("workers=%d aggregators=%d: streaming model diverges from buffered baseline", workers, fanout)
+			if got := runDigest(t, opts(workers, fanout)); got != want {
+				t.Fatalf("workers=%d aggregators=%d: model diverges from the workers=1 flat run", workers, fanout)
 			}
 		}
 	}
@@ -69,7 +75,8 @@ func TestStreamingAggregationParity(t *testing.T) {
 // TestStreamingCohortParity extends the parity claim to cohort mode:
 // sampling 8 of 16 clients per round with lazy hydration must pick the
 // same cohorts (seeded, round-derived) and fold their uploads to the same
-// bits whether the reduction is buffered or streamed through a fan-out.
+// bits whether the reduction is flat and serial or streamed through a
+// fan-out on 8 workers.
 func TestStreamingCohortParity(t *testing.T) {
 	cohortOpts := func() Options {
 		o := streamOpts()
@@ -78,7 +85,6 @@ func TestStreamingCohortParity(t *testing.T) {
 		return o
 	}
 	base := cohortOpts()
-	base.BufferedAgg = true
 	base.Workers = 1
 	want := runDigest(t, base)
 
@@ -87,7 +93,7 @@ func TestStreamingCohortParity(t *testing.T) {
 		o.Workers = 8
 		o.Aggregators = fanout
 		if got := runDigest(t, o); got != want {
-			t.Fatalf("aggregators=%d: cohort streaming model diverges from buffered baseline", fanout)
+			t.Fatalf("aggregators=%d: cohort model diverges from the workers=1 flat run", fanout)
 		}
 	}
 }
@@ -97,8 +103,8 @@ func TestStreamingCohortParity(t *testing.T) {
 // hold together: replicated partitioning keeps dataset memory at the pool
 // size, cohort sampling keeps at most CohortSize replicas hydrated, and
 // the streaming fold never materializes more than the reduction frontier.
-// The post-GC heap ceiling is the regression tripwire: the buffered path
-// at this scale would need ~100k × model-size of leaf scratch and blow
+// The post-GC heap ceiling is the regression tripwire: materializing every
+// leaf at this scale would need ~100k × model-size of scratch and blow
 // straight through it.
 func Test100kClientStreamingSmoke(t *testing.T) {
 	if testing.Short() {

@@ -13,12 +13,11 @@ import (
 // training concurrently over one 1000-client fleet. Replicated partitions
 // keep dataset memory independent of the fleet size; lazy hydration keeps
 // model memory proportional to the summed demand, not to K.
-func fleetJobs3(buffered bool) []JobSpec {
+func fleetJobs3() []JobSpec {
 	base := Options{
 		Partition: PartitionReplicate, ReplicaShards: 8,
 		PerClass: 8, Noise: 0.8,
 		AggEvery: 2, Tau: 1, BatchSize: 8, LR: 0.05,
-		BufferedAgg: buffered,
 	}
 	a, b, c := base, base, base
 	a.Scheme, a.Model, a.Dataset = SchemeFedAvg, ModelMLP, DatasetC10
@@ -35,12 +34,11 @@ func fleetJobs3(buffered bool) []JobSpec {
 
 // runFleet3 executes the three-job fleet at the given worker count and
 // returns each job's final global-model digest.
-func runFleet3(t *testing.T, workers int, buffered bool, plan *faults.Plan) map[string][32]byte {
+func runFleet3(t *testing.T, workers int) map[string][32]byte {
 	t.Helper()
 	f, err := NewFleet(FleetOptions{
-		Clients: 1000, LANs: 10, Workers: workers,
-		Faults: plan, Seed: 9,
-		Jobs: fleetJobs3(buffered),
+		Clients: 1000, LANs: 10, Workers: workers, Seed: 9,
+		Jobs: fleetJobs3(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,18 +63,13 @@ func runFleet3(t *testing.T, workers int, buffered bool, plan *faults.Plan) map[
 // TestFleetWorkerInvariance1k extends DESIGN.md §5's determinism invariant
 // across the job dimension at scale: three concurrent jobs over a shared
 // 1000-client fleet produce bit-identical per-job global models whether
-// the shared pool runs 1 worker or 8, and whether aggregation streams or
-// buffers.
+// the shared pool runs 1 worker or 8.
 func TestFleetWorkerInvariance1k(t *testing.T) {
-	serial := runFleet3(t, 1, false, nil)
-	parallel := runFleet3(t, 8, false, nil)
-	buffered := runFleet3(t, 8, true, nil)
+	serial := runFleet3(t, 1)
+	parallel := runFleet3(t, 8)
 	for name, d := range serial {
 		if parallel[name] != d {
 			t.Errorf("job %s: 8-worker model diverged from serial", name)
-		}
-		if buffered[name] != d {
-			t.Errorf("job %s: buffered aggregation diverged from streaming", name)
 		}
 	}
 }
@@ -100,7 +93,7 @@ func TestFleetFaultsChaos(t *testing.T) {
 	f, err := NewFleet(FleetOptions{
 		Clients: 1000, LANs: 10, Workers: 4,
 		Faults: plan, Seed: 9,
-		Jobs: fleetJobs3(false),
+		Jobs: fleetJobs3(),
 	})
 	if err != nil {
 		t.Fatal(err)

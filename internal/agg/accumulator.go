@@ -6,8 +6,8 @@
 // frontier of a fixed reduction tree (O(log slots) for in-order arrival).
 //
 // Determinism contract: the reduction tree has a fixed shape determined
-// only by the slot count — the same pairwise tree weightedParamSum used
-// before this package existed. Every upload folds at its deterministic
+// only by the slot count — the pairwise tree that adds terms[i+span] into
+// terms[i] for span = 1, 2, 4, …. Every upload folds at its deterministic
 // slot index, merges fire exactly when both siblings are complete, and
 // residual partial sums are folded in ascending slot order by Finish. The
 // final vector is therefore a pure function of the *set* of arrived slots:
@@ -112,8 +112,8 @@ func (a *Accumulator) Leaf() *tensor.Tensor { return tensor.GetScratch(a.dim) }
 
 // AddLeaf folds a filled Leaf buffer at the given slot with the given
 // weight, taking ownership of v in all cases (it is released on error).
-// The vector is scaled by weight and sifted up the tree exactly as
-// weightedParamSum scaled and merged terms[slot].
+// The vector is scaled by weight and sifted up the tree exactly as the
+// pairwise tree scales and merges terms[slot].
 func (a *Accumulator) AddLeaf(slot int, v *tensor.Tensor, weight float64) error {
 	if v == nil || len(v.Data()) != a.dim {
 		if v != nil {
@@ -214,9 +214,9 @@ func (a *Accumulator) coverage(start, span int) int {
 // sift merges nd with completed siblings up the fixed tree until its
 // partner is missing (park) or it becomes the root. The merge direction —
 // left += right — and the promote rule for a left child whose partner
-// start falls beyond the last slot replicate weightedParamSum's
+// start falls beyond the last slot replicate the pairwise tree's
 // terms[i].AddInPlace(terms[i+span]) loop exactly, so each buffer
-// receives the same addends in the same order as the buffered tree.
+// receives the same addends in the same order as that tree.
 func (a *Accumulator) sift(nd *node) {
 	for {
 		span := 1 << nd.level
@@ -307,7 +307,7 @@ func (a *Accumulator) Drain() []Node {
 // the result by norm (pass 1 for pre-normalized weights, 1/Weight() for a
 // partial round), and returns the final vector — arena scratch owned by
 // the caller. For a fully-arrived tree there is exactly one resident node
-// and Finish(1) returns weightedParamSum's bits unchanged. Finish returns
+// and Finish(1) returns the pairwise tree's bits unchanged. Finish returns
 // nil when nothing arrived; the accumulator is empty afterwards.
 func (a *Accumulator) Finish(norm float64) *tensor.Tensor {
 	if len(a.resident) == 0 {

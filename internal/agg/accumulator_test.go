@@ -41,8 +41,8 @@ func testVec(slot, dim int) []float64 {
 
 func testWeight(slot int) float64 { return 1 + float64(slot%7)/3 }
 
-// refTree replicates weightedParamSum's fixed pairwise reduction over
-// plain slices — the bit-exact reference the streaming path must match.
+// refTree replicates the fixed pairwise reduction over plain slices — the
+// bit-exact reference the streaming path must match.
 func refTree(slots, dim int, members []int) []float64 {
 	present := make([]bool, slots)
 	for _, m := range members {

@@ -845,13 +845,11 @@ func (t *Trainer) distribute() {
 }
 
 // aggregate uploads every replica from its current host toward the server
-// and forms the weighted average (Global Aggregation, Eq. 7). The sum
-// itself goes through the streaming accumulator (or the buffered tree
-// when cfg.BufferedAgg asks for the baseline) — bit-identical either way.
-// With an aggregator fan-out configured, uploads travel host→gateway over
-// the topology's C2C links and each gateway forwards its drained partial
-// sums over the C2S WAN; the grouping changes traffic and wall-time
-// accounting only, never the resulting bits.
+// and forms the weighted average (Global Aggregation, Eq. 7) through the
+// streaming accumulator. With an aggregator fan-out configured, uploads
+// travel host→gateway over the topology's C2C links and each gateway
+// forwards its drained partial sums over the C2S WAN; the grouping changes
+// traffic and wall-time accounting only, never the bits of the sum.
 func (t *Trainer) aggregate() {
 	// Normalize over the replicas whose home clients participate this
 	// round: with α < 1 (or a sampled cohort) only the selected clients'
@@ -886,15 +884,8 @@ func (t *Trainer) aggregate() {
 		ms[i] = t.models[m]
 		ws[i] = float64(t.clients[m].Data.Len()) / n
 	}
-	groupSlots := t.chargeUploads(idx)
-	var aggVec *tensor.Tensor
-	if t.cfg.BufferedAgg {
-		aggVec = weightedParamSum(t.pool, ms, ws)
-	} else {
-		var peak int
-		aggVec, peak = streamingParamSum(ms, ws, groupSlots)
-		t.mAggPeak.Set(float64(peak))
-	}
+	aggVec, peak := streamingParamSum(ms, ws, t.chargeUploads(idx))
+	t.mAggPeak.Set(float64(peak))
 	if aggVec != nil {
 		t.global.SetParamVector(aggVec)
 		tensor.PutScratch(aggVec)
@@ -1085,12 +1076,7 @@ func (t *Trainer) evaluate() float64 {
 			ws[m] = float64(t.clients[m].Data.Len()) / n
 		}
 	}
-	var vec *tensor.Tensor
-	if t.cfg.BufferedAgg {
-		vec = weightedParamSum(t.pool, ms, ws)
-	} else {
-		vec, _ = streamingParamSum(ms, ws, nil)
-	}
+	vec, _ := streamingParamSum(ms, ws, nil)
 	t.evalReplica.SetParamVector(vec)
 	tensor.PutScratch(vec)
 	return evalModel(t.evalReplica, t.test)

@@ -153,15 +153,13 @@ type Config struct {
 	// Aggregators is the simulated edge-aggregator fan-out G of the
 	// hierarchical upload path: participants stream to G LAN-aligned
 	// gateway aggregators, each of which forwards its partial sums to the
-	// cloud root. Results are bit-identical for every G (see internal/agg);
-	// only the traffic/wall-time accounting changes. 0 or 1 keeps the flat
+	// cloud root. The aggregated sum is bit-identical for every G (see
+	// internal/agg); G changes the traffic/wall-time accounting. The
+	// accounting draws link jitter from the cost model's shared stream, so
+	// with a migrator and Jitter > 0, G shifts the migrator's later cost
+	// draws and with them its decisions. 0 or 1 keeps the flat
 	// client→server path.
 	Aggregators int
-	// BufferedAgg selects the legacy buffered reduction (materialize every
-	// participant leaf, then reduce) instead of the streaming accumulator.
-	// Both produce bit-identical results — the parity tests prove it — so
-	// this exists as the benchmark baseline and regression escape hatch.
-	BufferedAgg bool
 	// RoundOffset shifts the cohort sampler's round-derived RNG streams —
 	// set by checkpoint resume so a resumed run draws the same cohorts the
 	// uninterrupted run would have.

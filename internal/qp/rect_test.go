@@ -130,10 +130,10 @@ func TestRectAssignmentErrors(t *testing.T) {
 }
 
 // BenchmarkRectAssignment is the allocator-shaped instance: a handful of
-// job slots over a much larger client pool. bench.sh records it into
-// BENCH_jobs.json — it is the cost the fleet allocator pays per round on
-// the exact (Hungarian) path, and the number that justifies the greedy
-// fallback above FleetConfig.HungarianMax clients.
+// job slots over a much larger client pool. It is the cost the fleet
+// allocator pays per round on the exact (Hungarian) path, and the number
+// that justifies the greedy fallback above FleetConfig.HungarianMax
+// clients. Run it with `go test -bench RectAssignment ./internal/qp`.
 func BenchmarkRectAssignment(b *testing.B) {
 	for _, size := range []struct{ slots, clients int }{{16, 64}, {24, 256}, {48, 1000}} {
 		b.Run(benchName(size.slots, size.clients), func(b *testing.B) {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestDispatchAllocFree pins the satellite fix for the per-dispatch
-// allocations BENCH_sched.json exposed (7–16 allocs/op for ForEach and
+// TestDispatchAllocFree pins the fix for the per-dispatch allocations an
+// early scheduler benchmark exposed (7–16 allocs/op for ForEach and
 // ParallelFor at workers >= 2): steady-state dispatch must allocate
 // nothing, because the per-region claim counter, wait group, and panic
 // box are recycled through a sync.Pool and helpers receive the region by

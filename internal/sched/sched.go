@@ -22,8 +22,8 @@
 // Dispatch is alloc-free in steady state: per-region bookkeeping (claim
 // counter, wait group, panic box) lives in a pooled region struct handed
 // to helpers by pointer, so no per-dispatch closures or channels are
-// allocated — asserted by TestDispatchAllocFree against the regression
-// BENCH_sched.json originally recorded (7–16 allocs/op at workers ≥ 2).
+// allocated — asserted by TestDispatchAllocFree against the regression an
+// early benchmark recorded (7–16 allocs/op at workers ≥ 2).
 package sched
 
 import (

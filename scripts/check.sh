@@ -29,10 +29,6 @@ go run ./cmd/fedmigr-lint -only errcheck,lockcheck -all-zones ./internal/analysi
 # single core, right at go test's default 10m per-package timeout; give
 # the suite explicit headroom so slow hosts don't flake.
 go test -race -timeout 30m ./...
-# Determinism parity under the race detector: parallel kernels and the
-# worker-invariance proofs run again explicitly so a -run filter in the
-# suite above can never silently skip them.
-go test -race -run 'Parity|WorkerCountInvariance|ParallelRunMatchesSerial' ./internal/tensor ./internal/core .
 # Allocation-free training step, pinned without the race detector (whose
 # runtime may allocate on its own): a warmed C10CNN/MLP/ResLite step, a
 # second evaluation forward and the warmed *Into kernels must each report
@@ -44,25 +40,10 @@ go test -race -run 'Parity|WorkerCountInvariance|ParallelRunMatchesSerial' ./int
 # for bit — the branch-free max-pool select and ReLU, the backward that
 # stops at the lowest parameterised layer, Conv2D.InputGrad, Adam,
 # TrainStep, PER sampling, the input-only critic probe, the simplex
-# projection — and a warmed TrainStep must allocate nothing.
-go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|MatchesReference|InputGrad|TestTrainStepAllocations' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp .
+# projection, the streaming aggregation sum — and a warmed TrainStep must
+# allocate nothing.
+go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|MatchesReference|InputGrad|TestTrainStepAllocations' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core .
 go test -run 'TestFrameAllocs|TestAppendParamsReusesBuffer|TestGoldenSessionHash' ./internal/fednet ./internal/nn
-# Multi-tenant determinism under the race detector: three concurrent jobs
-# over a shared 1000-client fleet must produce bit-identical per-job
-# models at 1 and 8 workers, streaming or buffered aggregation.
-go test -race -run 'TestFleetWorkerInvariance1k' .
-# Clustered-federation determinism under the race detector: the EMD
-# clustering must recover the latent LAN grouping exactly and beat the
-# single-global-model baseline, and both the clustered and one-shot
-# analytic paths must be bit-identical at 1 vs 8 workers, streaming or
-# buffered aggregation.
-go test -race -run 'TestClusteredWorkerInvariance|TestClusteredRecovery' .
-go test -race -run 'TestAnalyticWorkerCountInvariance' ./internal/core
-# Dynamic-membership chaos under the race detector: 8 founding clients,
-# two mid-session joins with warm handoff, one graceful leave whose
-# in-flight TrainState is adopted by a survivor, and one crash — the
-# session must lose zero rounds, and the test checks goroutine leaks.
-go test -race -run 'TestChurnChaosSession' ./internal/fednet
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
 # post-GC heap ceiling (256 MB) and that peak hydrated replicas equal the
