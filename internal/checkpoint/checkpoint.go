@@ -17,6 +17,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -28,15 +29,13 @@ import (
 	"fedmigr/internal/nn"
 )
 
-// SaveModel writes a model's parameters to path, creating parent
-// directories as needed.
-func SaveModel(path string, m *nn.Sequential) error {
+// writeAtomic writes b to path through path.tmp and a rename, creating
+// parent directories as needed: a process crash or write error mid-save
+// leaves the previous file (or none) in place, never a torn one. Every
+// checkpoint file is written through it.
+func writeAtomic(path string, b []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	b, err := m.MarshalParams()
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal: %w", err)
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
@@ -46,6 +45,12 @@ func SaveModel(path string, m *nn.Sequential) error {
 		return fmt.Errorf("checkpoint: rename: %w", err)
 	}
 	return nil
+}
+
+// SaveModel writes a model's parameters to path, creating parent
+// directories as needed.
+func SaveModel(path string, m *nn.Sequential) error {
+	return writeAtomic(path, m.AppendParams(nil))
 }
 
 // LoadModel reads parameters from path into m, whose architecture must
@@ -92,22 +97,14 @@ func WriteMetricsCSV(w io.Writer, history []core.RoundMetrics) error {
 	return cw.Error()
 }
 
-// SaveMetricsCSV writes a run's history to a CSV file.
+// SaveMetricsCSV writes a run's history to a CSV file, atomically like
+// every checkpoint file.
 func SaveMetricsCSV(path string, history []core.RoundMetrics) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	var buf bytes.Buffer
+	if err := WriteMetricsCSV(&buf, history); err != nil {
+		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	// On the write path a Close failure can mean lost buffered data, so it
-	// must surface (the lint errcheck analyzer enforces this).
-	err = WriteMetricsCSV(f, history)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("checkpoint: close %s: %w", path, cerr)
-	}
-	return err
+	return writeAtomic(path, buf.Bytes())
 }
 
 // Run-state checkpoint layout: a directory holding the global model and

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,6 +87,21 @@ func TestSaveMetricsCSVFile(t *testing.T) {
 	f, err := filepath.Glob(path)
 	if err != nil || len(f) != 1 {
 		t.Fatalf("file not written: %v %v", f, err)
+	}
+	// A save that cannot complete (its temp path is blocked by a
+	// directory) errors out and leaves the previous history intact.
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveMetricsCSV(path, sampleHistory()[:1]); err == nil {
+		t.Fatal("save over a blocked temp path did not fail")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("failed save changed the existing file (err %v):\n%s", err, got)
 	}
 }
 

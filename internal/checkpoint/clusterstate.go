@@ -81,22 +81,11 @@ func SaveClusterManifest(dir string, m ClusterManifest) error {
 	if err := m.validate(); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
 	b, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: cluster manifest: %w", err)
 	}
-	path := filepath.Join(dir, ClusterFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: write cluster manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("checkpoint: rename cluster manifest: %w", err)
-	}
-	return nil
+	return writeAtomic(filepath.Join(dir, ClusterFile), append(b, '\n'))
 }
 
 // LoadClusterManifest reads a run state's cluster-assignment manifest. A

@@ -93,18 +93,7 @@ func SaveFleetState(dir string, fleetRound int, jobs map[string]FleetJobState) e
 	if err != nil {
 		return fmt.Errorf("checkpoint: manifest: %w", err)
 	}
-	path := filepath.Join(dir, RunStateManifest)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("checkpoint: rename manifest: %w", err)
-	}
-	return nil
+	return writeAtomic(filepath.Join(dir, RunStateManifest), append(b, '\n'))
 }
 
 // LoadFleetManifest reads and validates a fleet checkpoint's manifest. A

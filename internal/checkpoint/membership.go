@@ -109,22 +109,11 @@ func diffSchedule(kind string, saved, cur map[int]int) []string {
 // SaveMembership writes the membership manifest into a run-state
 // directory (atomic rename, like every checkpoint file).
 func SaveMembership(dir string, m Membership) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
 	b, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: membership: %w", err)
 	}
-	path := filepath.Join(dir, MembershipFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: write membership: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("checkpoint: rename membership: %w", err)
-	}
-	return nil
+	return writeAtomic(filepath.Join(dir, MembershipFile), append(b, '\n'))
 }
 
 // LoadMembership reads a run state's membership manifest. A pre-version-3

@@ -107,10 +107,10 @@ type Client struct {
 	// free holds replicas this client no longer hosts — delivered to a peer,
 	// or superseded by the next GlobalModel — for the next install to reuse
 	// instead of calling factory(). Replicas are interchangeable: every
-	// persistent tensor (BatchNorm running statistics included) is in
-	// Params(), which the install overwrites, and layer-owned step buffers
-	// carry nothing from one batch to the next (nn.Layer's rule). Dropout's
-	// private RNG is the one exception; no factory in the tree builds one.
+	// persistent tensor is a learnable parameter in Params(), which the
+	// install overwrites, and layer-owned step buffers carry nothing from
+	// one batch to the next (nn.Layer's rule). Dropout's private RNG is the
+	// one exception; no factory in the tree builds one.
 	// Guarded by mu: the inbound-transfer goroutine takes replicas while the
 	// main loop retires them.
 	free []*nn.Sequential

@@ -41,7 +41,9 @@ type Layer interface {
 	// Backward back-propagates grad (dL/dout) and returns dL/din.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's learnable parameters and their gradient
-	// accumulators, in a stable order. Stateless layers return nil slices.
+	// accumulators, in a stable order: one accumulator per parameter, of
+	// the parameter's shape and never nil. Stateless layers return nil
+	// slices.
 	Params() ([]*tensor.Tensor, []*tensor.Tensor)
 	// Name identifies the layer kind for debugging and serialization.
 	Name() string
@@ -165,7 +167,8 @@ func (r *ReLU) Params() ([]*tensor.Tensor, []*tensor.Tensor) { return nil, nil }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "ReLU" }
 
-// Tanh applies the hyperbolic tangent elementwise (used by the DDPG actor).
+// Tanh applies the hyperbolic tangent elementwise; its backward pass
+// scales the gradient by 1 − tanh², read from the cached output.
 type Tanh struct {
 	out, dx *tensor.Tensor
 }

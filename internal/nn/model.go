@@ -129,14 +129,11 @@ func (m *Sequential) Params() ([]*tensor.Tensor, []*tensor.Tensor) {
 	return m.ps, m.gs
 }
 
-// ZeroGrad clears all gradient accumulators (nil slots mark
-// non-learnable parameters and are skipped).
+// ZeroGrad clears all gradient accumulators.
 func (m *Sequential) ZeroGrad() {
 	_, gs := m.Params()
 	for _, g := range gs {
-		if g != nil {
-			g.Zero()
-		}
+		g.Zero()
 	}
 }
 

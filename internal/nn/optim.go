@@ -33,23 +33,19 @@ func (s *SGD) Step(m *Sequential) {
 	ps, gs := m.Params()
 	for i, p := range ps {
 		g := gs[i]
-		if g == nil {
-			continue // non-learnable parameter (e.g. BatchNorm statistics)
-		}
 		if s.WeightDecay != 0 {
 			g.AddScaledInPlace(p, s.WeightDecay)
 		}
+		step := g
 		if s.Momentum != 0 {
 			v, ok := s.vel[p]
 			if !ok {
 				v = tensor.New(p.Shape()...)
 				s.vel[p] = v
 			}
-			v.ScaleInPlace(s.Momentum).AddInPlace(g)
-			p.AddScaledInPlace(v, -s.LR)
-		} else {
-			p.AddScaledInPlace(g, -s.LR)
+			step = v.ScaleInPlace(s.Momentum).AddInPlace(g)
 		}
+		p.AddScaledInPlace(step, -s.LR)
 		g.Zero()
 	}
 }
@@ -170,10 +166,6 @@ func (a *Adam) Step(m *Sequential) {
 	c2 := 1 - math.Pow(b2, float64(a.t))
 	ps, gs := m.Params()
 	for i, p := range ps {
-		g := gs[i]
-		if g == nil {
-			continue // non-learnable parameter (e.g. BatchNorm statistics)
-		}
 		m1, ok := a.m1[p]
 		if !ok {
 			m1 = tensor.New(p.Shape()...)
@@ -181,7 +173,7 @@ func (a *Adam) Step(m *Sequential) {
 			a.m2[p] = tensor.New(p.Shape()...)
 		}
 		m2 := a.m2[p]
-		pd, gd, m1d, m2d := p.Data(), g.Data(), m1.Data(), m2.Data()
+		pd, gd, m1d, m2d := p.Data(), gs[i].Data(), m1.Data(), m2.Data()
 		for j, gv := range gd {
 			gd[j] = 0
 			mv := b1*m1d[j] + omb1*gv
@@ -204,9 +196,6 @@ func ClipGradNorm(m *Sequential, maxNorm float64) float64 {
 	_, gs := m.Params()
 	total := 0.0
 	for _, g := range gs {
-		if g == nil {
-			continue
-		}
 		n := g.Norm2()
 		total += n * n
 	}
@@ -214,9 +203,7 @@ func ClipGradNorm(m *Sequential, maxNorm float64) float64 {
 	if total > maxNorm && total > 0 {
 		scale := maxNorm / total
 		for _, g := range gs {
-			if g != nil {
-				g.ScaleInPlace(scale)
-			}
+			g.ScaleInPlace(scale)
 		}
 	}
 	return total

@@ -200,19 +200,26 @@ func TestInputGradMatchesBackward(t *testing.T) {
 	}
 }
 
+// paramOnly is the identity with a learnable scalar it never uses: a layer
+// with parameters but no InputGrad.
+type paramOnly struct{ p, g *tensor.Tensor }
+
+func (l *paramOnly) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
+func (l *paramOnly) Backward(grad *tensor.Tensor) *tensor.Tensor     { return grad }
+func (l *paramOnly) Params() ([]*tensor.Tensor, []*tensor.Tensor) {
+	return []*tensor.Tensor{l.p}, []*tensor.Tensor{l.g}
+}
+func (l *paramOnly) Name() string { return "paramOnly" }
+
 // TestInputGradPanicsWithoutLayerSupport: a layer with parameters but no
-// InputGrad (BatchNorm2D) must not be silently run through Backward.
+// InputGrad must not be silently run through Backward.
 func TestInputGradPanicsWithoutLayerSupport(t *testing.T) {
 	g := tensor.NewRNG(23)
-	m := NewSequential(
-		NewConv2D(g, stepSpec.Channels, 4, 3, 3, 1, 1), NewBatchNorm2D(4), NewReLU(),
-		NewFlatten(), NewDense(g, 4*stepSpec.Height*stepSpec.Width, stepSpec.Classes),
-	)
-	x, _ := fillBatch(m, 2, 24)
-	out := m.Forward(x, true)
+	m := NewSequential(NewDense(g, 6, 4), &paramOnly{tensor.New(1), tensor.New(1)}, NewDense(g, 4, 2))
+	out := m.Forward(tensor.Randn(g, 1, 2, 6), true)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("InputGrad through a BatchNorm2D model did not panic")
+			t.Fatal("InputGrad through a layer without InputGrad did not panic")
 		}
 	}()
 	m.InputGrad(tensor.New(out.Shape()...))

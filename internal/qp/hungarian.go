@@ -92,14 +92,3 @@ func SolveAssignment(utility [][]float64) ([]int, float64, error) {
 	}
 	return dest, total, nil
 }
-
-// AssignmentValue evaluates a destination vector against a utility matrix.
-func AssignmentValue(utility [][]float64, dest []int) float64 {
-	total := 0.0
-	for i, j := range dest {
-		if j >= 0 && j < len(utility[i]) {
-			total += utility[i][j]
-		}
-	}
-	return total
-}

@@ -32,7 +32,8 @@ go test -race -timeout 30m ./...
 # Allocation-free training step, pinned without the race detector (whose
 # runtime may allocate on its own): a warmed C10CNN/MLP/ResLite step, a
 # second evaluation forward and the warmed *Into kernels must each report
-# zero allocations; the golden model digests pin the arithmetic itself.
+# zero allocations; the golden model and session digests pin the arithmetic
+# itself.
 # Likewise the wire path: a warmed model hop (marshal into the sender's
 # buffer, frame write, read through the connection's frameReader) allocates
 # a handful of small objects and nothing model-sized. The optimised step
@@ -42,8 +43,7 @@ go test -race -timeout 30m ./...
 # TrainStep, PER sampling, the input-only critic probe, the simplex
 # projection, the streaming aggregation sum — and a warmed TrainStep must
 # allocate nothing.
-go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|MatchesReference|InputGrad|TestTrainStepAllocations' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core .
-go test -run 'TestFrameAllocs|TestAppendParamsReusesBuffer|TestGoldenSessionHash' ./internal/fednet ./internal/nn
+go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|TestGoldenSessionHash|MatchesReference|InputGrad|TestTrainStepAllocations|TestFrameAllocs|TestAppendParamsReusesBuffer' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core ./internal/fednet .
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
 # post-GC heap ceiling (256 MB) and that peak hydrated replicas equal the
