@@ -53,6 +53,13 @@ func TestChurnChaosSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Round 1's boundary waits until both joiners hold seats, so a loaded
+	// box cannot end the session before they are promoted.
+	srv.beforeRound = func(round int) {
+		if round == 1 {
+			holdUntil(srv, ioTimeout, seated(srv, maxK))
+		}
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +186,26 @@ func TestChurnChaosSession(t *testing.T) {
 	}
 }
 
+// seated reports, under the lock, whether n seats are published: promoted
+// or pending.
+func seated(srv *Server, n int) func() bool {
+	return func() bool { return srv.members+len(srv.pending) >= n }
+}
+
+// holdUntil polls cond under srv.mu until it holds or the timeout passes.
+// Round hooks call it on the coordinator, so it reports nothing itself:
+// the session's own checks catch a wait that ran out.
+func holdUntil(srv *Server, timeout time.Duration, cond func() bool) {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		ok := cond()
+		srv.mu.Unlock()
+		if ok {
+			return
+		}
+	}
+}
+
 // TestAdmitJoiner exercises the admission state machine directly over an
 // in-memory pipe: a free slot yields Welcome plus a warm model handoff and
 // a queued promotion; a full or sealed session turns the node away with a
@@ -200,7 +227,11 @@ func TestAdmitJoiner(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	go srv.admitJoiner(c1, &Message{Type: MsgHello, ListenAddr: "x:1", NumSamples: 4, Dist: []float64{1, 0}})
+	admitted := make(chan struct{})
+	go func() {
+		srv.admitJoiner(c1, &Message{Type: MsgHello, ListenAddr: "x:1", NumSamples: 4, Dist: []float64{1, 0}})
+		close(admitted)
+	}()
 	welcome, err := ReadMessage(c2)
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +246,7 @@ func TestAdmitJoiner(t *testing.T) {
 	if warm.Type != MsgGlobalModel || !warm.Warm || len(warm.Params) != 3 {
 		t.Fatalf("warm handoff wrong: %+v", warm)
 	}
+	<-admitted
 	srv.mu.Lock()
 	pend, reg, joins := len(srv.pending), srv.registered, srv.fstats.Joins
 	srv.mu.Unlock()
@@ -254,5 +286,112 @@ func TestAdmitJoiner(t *testing.T) {
 		srv.mu.Unlock()
 		t.Fatal("rejections must not queue joiners or count joins")
 	}
+
+	// Sealed while the Welcome is in flight: the joiner gets its Welcome and
+	// warm model, then a Shutdown, and is never queued.
+	srv.sealed = false
 	srv.mu.Unlock()
+	srv.beforeWelcome = func() {
+		srv.mu.Lock()
+		srv.sealed = true
+		srv.mu.Unlock()
+	}
+	h1, h2 := net.Pipe()
+	defer h2.Close()
+	go srv.admitJoiner(h1, &Message{Type: MsgHello})
+	for _, want := range []MsgType{MsgWelcome, MsgGlobalModel, MsgShutdown} {
+		m, err := ReadMessage(h2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != want {
+			t.Fatalf("sealed in flight: got %v, want %v", m.Type, want)
+		}
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.pending) != 1 || srv.conns[1] != c1 {
+		t.Fatal("a joiner sealed out in flight must not be queued or seated")
+	}
+}
+
+// TestJoinerWelcomeIsFirstFrame holds the Welcome back until the session
+// has distributed twice since the joiner's Hello. A seat published before
+// its Welcome is written gets a GlobalModel first, every time; the joiner
+// must instead be welcomed, promoted at a later boundary, and train. Round
+// 1 waits for the joiner's Hello and round 4 for its seat, so the session
+// cannot end first.
+func TestJoinerWelcomeIsFirstFrame(t *testing.T) {
+	const ioTimeout = 5 * time.Second
+	train, _ := data.Synthetic(data.SyntheticConfig{
+		Classes: 2, Channels: 1, Height: 4, Width: 4,
+		PerClass: 8, TestPer: 1, Noise: 0.6, Seed: 42,
+	})
+	parts := data.PartitionShards(train, 2, 1, tensor.NewRNG(1))
+	factory := chaosFactory(2)
+	tel := telemetry.New()
+	srv, err := NewServer(ServerConfig{
+		K: 1, MaxClients: 2, Rounds: 6, AggEvery: 1, Tau: 1,
+		BatchSize: 8, LR: 0.05, IOTimeout: ioTimeout, Telemetry: tel,
+	}, factory, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each distribution writes one GlobalModel per live seat. Two more than
+	// at the Hello means a distribution reached the joiner's seat, or two
+	// passed without it.
+	sent := tel.Counter("fednet_msgs_total", "role", "server", "dir", "tx", "type", MsgGlobalModel.String())
+	srv.beforeWelcome = func() {
+		target := sent.Value() + 2
+		for deadline := time.Now().Add(ioTimeout); sent.Value() < target && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	srv.beforeRound = func(round int) {
+		switch round {
+		case 1:
+			holdUntil(srv, ioTimeout, func() bool { return srv.registered == 2 })
+		case 4:
+			holdUntil(srv, ioTimeout, seated(srv, 2))
+		}
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.Run() }()
+	clients := make([]*Client, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range clients {
+		c, err := NewClient(ClientConfig{ServerAddr: addr, IOTimeout: ioTimeout}, parts[i], factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.Run()
+		}()
+		awaitSeats(t, srv, i+1, ioTimeout)
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	wg.Wait()
+	srv.Close()
+	for i, c := range clients {
+		c.Close()
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+	}
+	if got := srv.Members(); got != 2 {
+		t.Fatalf("cohort grew to %d members, want 2", got)
+	}
+	if clients[1].Epochs == 0 {
+		t.Fatal("the joiner never trained after promotion")
+	}
 }

@@ -184,6 +184,11 @@ type Server struct {
 	// lateWG joins the acceptLate goroutine: Run closes the listener and
 	// waits on it before returning, so no admission can race teardown.
 	lateWG sync.WaitGroup
+	// Test hooks, nil outside tests: beforeWelcome runs just before a
+	// joiner's Welcome is written, beforeRound on the coordinator at each
+	// round boundary, before joiners are promoted.
+	beforeWelcome func()
+	beforeRound   func(round int)
 
 	// lost[m] marks a replica unusable for the current round: its host
 	// died or it vanished in transit. Reset at every distribution.
@@ -499,37 +504,57 @@ func (s *Server) acceptLate() {
 // free slot, gets its Welcome plus a warm copy of the current global model,
 // and is queued for promotion into the cohort at the next round boundary.
 // A full (or shutting-down) session turns the node away with a Shutdown.
+//
+// The seat's first frames are written here, before the seat is published
+// in conns and pending: until then no other goroutine knows the
+// connection, so nothing can reach the joiner ahead of its Welcome.
 func (s *Server) admitJoiner(conn net.Conn, hello *Message) {
 	s.mu.Lock()
 	if s.sealed || s.registered >= s.maxK {
 		s.mu.Unlock()
-		_ = s.nm.write(conn, &Message{Type: MsgShutdown, JobID: s.cfg.JobID})
-		_ = conn.Close()
+		s.dismiss(conn)
 		s.cfg.Telemetry.Event("join_rejected", "addr", hello.ListenAddr)
 		return
 	}
 	id := s.registered
 	s.registered++
-	s.conns[id] = conn
-	s.pending = append(s.pending, pendingJoin{
-		id: id, addr: hello.ListenAddr, samples: hello.NumSamples,
-		dist: append([]float64(nil), hello.Dist...),
-	})
 	s.fstats.Joins++
 	warm := s.warm
 	s.mu.Unlock()
 	s.nm.incJoin()
 	s.cfg.Telemetry.Event("client_joined", "client", id)
+	if s.beforeWelcome != nil {
+		s.beforeWelcome()
+	}
 	setDeadline(conn, s.cfg.IOTimeout)
+	// Dead on arrival (a failed write): promotion marks it dead at its
+	// first broadcast.
 	if err := s.nm.write(conn, &Message{
 		Type: MsgWelcome, ClientID: id, K: s.maxK, JobID: s.cfg.JobID,
 		Rounds: s.cfg.Rounds, AggEvery: s.cfg.AggEvery, Tau: s.cfg.Tau,
 		BatchSize: s.cfg.BatchSize, LR: s.cfg.LR,
-	}); err != nil {
-		// Dead on arrival: promotion will mark it dead at first broadcast.
+	}); err == nil {
+		_ = s.nm.write(conn, &Message{Type: MsgGlobalModel, ModelID: id, Params: warm, Warm: true})
+	}
+	s.mu.Lock()
+	if s.sealed || s.closed {
+		// The session began shutting down while the Welcome was in flight.
+		s.mu.Unlock()
+		s.dismiss(conn)
 		return
 	}
-	_ = s.nm.write(conn, &Message{Type: MsgGlobalModel, ModelID: id, Params: warm, Warm: true})
+	s.conns[id] = conn
+	s.pending = append(s.pending, pendingJoin{
+		id: id, addr: hello.ListenAddr, samples: hello.NumSamples,
+		dist: append([]float64(nil), hello.Dist...),
+	})
+	s.mu.Unlock()
+}
+
+// dismiss turns away a joiner that holds no published seat.
+func (s *Server) dismiss(conn net.Conn) {
+	_ = s.nm.write(conn, &Message{Type: MsgShutdown, JobID: s.cfg.JobID})
+	_ = conn.Close()
 }
 
 // promoteJoiners moves every pending joiner into the cohort: its Hello
@@ -836,6 +861,9 @@ func (s *Server) run() error {
 	for round := 0; round < s.cfg.Rounds; round++ {
 		// Joiners admitted during the previous round enter the cohort here,
 		// at the round boundary, so the whole round sees one membership.
+		if s.beforeRound != nil {
+			s.beforeRound(round)
+		}
 		s.promoteJoiners()
 		// Model Distribution. A fresh blob every round, not a reused buffer:
 		// acceptLate hands s.warm to joiners while the round runs, so it must

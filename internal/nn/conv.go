@@ -13,7 +13,8 @@ type Conv2D struct {
 	GK, GB *tensor.Tensor
 	P      tensor.ConvParams
 
-	inShape []int // input geometry of the last training Forward (empty: none)
+	inShape []int            // input geometry of the last training Forward (empty: none)
+	pm      *tensor.PanelMap // im2col index map of the last Forward's C, H, W
 
 	// Owned buffers: the im2col panel, K viewed as a (F, C·KH·KW) matrix,
 	// the (N·OH·OW, F) product and its NCHW rearrangement, and the backward
@@ -44,7 +45,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		c.inShape = c.inShape[:0]
 	}
-	c.cols = tensor.Im2ColInto(c.cols, x, c.P) // (N*OH*OW, C*KH*KW)
+	if !c.pm.Matches(x.Dim(1), h, w, c.P) {
+		c.pm = tensor.NewPanelMap(x.Dim(1), h, w, c.P)
+	}
+	c.cols = tensor.Im2ColInto(c.cols, x, c.pm) // (N*OH*OW, C*KH*KW)
 	c.kmat = c.K.ReshapeInto(c.kmat, f, c.cols.Dim(1))
 	c.prod = tensor.MatMulTransBInto(c.prod, c.cols, c.kmat) // (N*OH*OW, F)
 	c.out = tensor.Ensure(c.out, n, f, oh, ow)
@@ -111,7 +115,7 @@ func (c *Conv2D) loadGrad(grad *tensor.Tensor) {
 // colGrad returns dx = Col2Im(gm · kmat) for the loaded gm.
 func (c *Conv2D) colGrad() *tensor.Tensor {
 	c.dcols = tensor.MatMulInto(c.dcols, c.gm, c.kmat)
-	c.dx = tensor.Col2ImInto(tensor.Ensure(c.dx, c.inShape...), c.dcols, c.P)
+	c.dx = tensor.Col2ImInto(tensor.Ensure(c.dx, c.inShape...), c.dcols, c.pm)
 	return c.dx
 }
 

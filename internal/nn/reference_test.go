@@ -42,6 +42,56 @@ func (c *Conv2D) refBackward(grad *tensor.Tensor) *tensor.Tensor {
 	return tensor.Col2Im(tensor.MatMul(gm, c.kmat), n, c.inShape[1], h, w, c.P)
 }
 
+// refForward is the old Conv2D.Forward on fresh temporaries, its im2col
+// panel unrolled by the textbook loop instead of a panel map.
+func (c *Conv2D) refForward(x *tensor.Tensor) *tensor.Tensor {
+	f := c.K.Dim(0)
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	oh, ow := c.P.OutSize(h, w)
+	cols := refIm2Col(x, c.P)               // (N*OH*OW, C*KH*KW)
+	kmat := c.K.Reshape(f, cols.Dim(1))     // (F, C*KH*KW)
+	prod := tensor.MatMulTransB(cols, kmat) // (N*OH*OW, F)
+	out := tensor.New(n, f, oh, ow)
+	// Rearrange (N*OH*OW, F) to (N,F,OH,OW), adding the bias.
+	od, rd, bd, ohw := prod.Data(), out.Data(), c.B.Data()[:f], oh*ow
+	for ni := 0; ni < n; ni++ {
+		dst := rd[ni*f*ohw : (ni+1)*f*ohw]
+		for pos := 0; pos < ohw; pos++ {
+			row := od[(ni*ohw+pos)*f:][:f]
+			for fi, b := range bd {
+				dst[fi*ohw+pos] = row[fi] + b
+			}
+		}
+	}
+	return out
+}
+
+// refIm2Col is the textbook unroll: one receptive field a row, padding as
+// zeros.
+func refIm2Col(x *tensor.Tensor, p tensor.ConvParams) *tensor.Tensor {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	oh, ow := p.OutSize(h, w)
+	colW := c * p.KernelH * p.KernelW
+	cols := tensor.New(n*oh*ow, colW)
+	cd, xd := cols.Data(), x.Data()
+	for r := 0; r < n*oh*ow; r++ {
+		ni, oy, ox := r/(oh*ow), (r/ow)%oh, r%ow
+		col := 0
+		for ci := 0; ci < c; ci++ {
+			for ky := 0; ky < p.KernelH; ky++ {
+				for kx := 0; kx < p.KernelW; kx++ {
+					iy, ix := oy*p.StrideH-p.PadH+ky, ox*p.StrideW-p.PadW+kx
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						cd[r*colW+col] = xd[((ni*c+ci)*h+iy)*w+ix]
+					}
+					col++
+				}
+			}
+		}
+	}
+	return cols
+}
+
 // refReLUForward and refReLUBackward are the old branchy ReLU loops.
 func refReLUForward(x []float64) []float64 {
 	y := make([]float64, len(x))
@@ -132,7 +182,6 @@ func TestReLUMatchesReference(t *testing.T) {
 func backwardModels() map[string]func() *Sequential {
 	ms := stepModels()
 	ms["C100CNN"] = func() *Sequential { return NewC100CNN(tensor.NewRNG(3), stepSpec) }
-	ms["AlexLite"] = func() *Sequential { return NewAlexLite(tensor.NewRNG(3), stepSpec) }
 	return ms
 }
 
@@ -210,5 +259,79 @@ func TestConvInputGradMatchesReference(t *testing.T) {
 				requireBits(t, what+" GB", got.GB.Data(), want.GB.Data())
 			})
 		}
+	}
+}
+
+// convCase is a Conv2D geometry: channels in and out, input size, params.
+type convCase struct {
+	c, f, h, w int
+	p          tensor.ConvParams
+}
+
+// newConvCase builds a He-initialised layer for tc (its h and w are the
+// inputs'); NewConv2D takes one stride and pad, so P is set afterwards.
+func newConvCase(seed int64, tc convCase) *Conv2D {
+	l := NewConv2D(tensor.NewRNG(seed), tc.c, tc.f, tc.p.KernelH, tc.p.KernelW, 1, 0)
+	l.P = tc.p
+	return l
+}
+
+// TestConvForwardMatchesReference holds Conv2D.Forward, training and
+// inference, to the old Forward bit for bit: at 1 and 8 workers, over
+// batches 32 → 4 → 32, with ±0, Inf and NaN planted in the inputs and, on
+// odd cases, in the weights. Then one layer is fed 8×8 → 10×10 → 8×8
+// inputs, so its panel map is rebuilt twice: its output, dx, dK and db must
+// equal a fresh layer's on each input.
+func TestConvForwardMatchesReference(t *testing.T) {
+	sq := func(k, s, p int) tensor.ConvParams {
+		return tensor.ConvParams{KernelH: k, KernelW: k, StrideH: s, StrideW: s, PadH: p, PadW: p}
+	}
+	cases := []convCase{
+		{3, 8, 8, 8, sq(3, 1, 1)},
+		{3, 8, 10, 10, sq(3, 1, 1)},
+		{4, 6, 10, 10, sq(3, 2, 1)},
+		{2, 5, 8, 8, sq(2, 2, 1)},
+		{3, 4, 9, 10, tensor.ConvParams{KernelH: 3, KernelW: 2, StrideH: 1, StrideW: 2, PadH: 1}},
+	}
+	sp := specialFloats()
+	for ci, tc := range cases {
+		for _, workers := range []int{1, 8} {
+			withWorkers(workers, func() {
+				l := newConvCase(int64(100+ci), tc)
+				if ci%2 == 1 {
+					for i, v := range sp[:6] {
+						l.K.Data()[i*7%l.K.Size()] = v
+					}
+				}
+				for step, n := range []int{32, 4, 32} {
+					g := tensor.NewRNG(int64(110 + 10*ci + step))
+					x := tensor.Randn(g, 1, n, tc.c, tc.h, tc.w)
+					for i, v := range sp {
+						x.Data()[(i*13+step)%x.Size()] = v
+					}
+					want := l.refForward(x).Data()
+					what := fmt.Sprintf("case %d workers=%d batch %d", ci, workers, n)
+					requireBits(t, what+" train", l.Forward(x, true).Data(), want)
+					requireBits(t, what+" eval", l.Forward(x, false).Data(), want)
+				}
+			})
+		}
+	}
+
+	tc := cases[0]
+	reused := newConvCase(120, tc)
+	for i, hw := range []int{8, 10, 8} {
+		fresh := newConvCase(120, tc)
+		g := tensor.NewRNG(int64(130 + i))
+		x := tensor.Randn(g, 1, 4, tc.c, hw, hw)
+		what := fmt.Sprintf("input %d (%dx%d)", i, hw, hw)
+		out := reused.Forward(x, true)
+		requireBits(t, what+" output", out.Data(), fresh.Forward(x, true).Data())
+		grad := tensor.Randn(g, 1, out.Shape()...)
+		reused.GK.Zero()
+		reused.GB.Zero()
+		requireBits(t, what+" dx", reused.Backward(grad).Data(), fresh.Backward(grad).Data())
+		requireBits(t, what+" GK", reused.GK.Data(), fresh.GK.Data())
+		requireBits(t, what+" GB", reused.GB.Data(), fresh.GB.Data())
 	}
 }

@@ -13,8 +13,9 @@ var stepSpec = ModelSpec{Channels: 3, Height: 8, Width: 8, Classes: 10}
 // drive, each from a fresh fixed-seed RNG so repeated calls are identical.
 func stepModels() map[string]func() *Sequential {
 	return map[string]func() *Sequential{
-		"C10CNN":  func() *Sequential { return NewC10CNN(tensor.NewRNG(3), stepSpec) },
-		"ResLite": func() *Sequential { return NewResLite(tensor.NewRNG(3), stepSpec, 2) },
+		"C10CNN":   func() *Sequential { return NewC10CNN(tensor.NewRNG(3), stepSpec) },
+		"ResLite":  func() *Sequential { return NewResLite(tensor.NewRNG(3), stepSpec, 2) },
+		"AlexLite": func() *Sequential { return NewAlexLite(tensor.NewRNG(3), stepSpec) },
 		"MLP": func() *Sequential {
 			mlp := NewMLP(tensor.NewRNG(3), 192, 64, 10)
 			return NewSequential(append([]Layer{NewFlatten()}, mlp.Layers...)...)

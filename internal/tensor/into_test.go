@@ -242,9 +242,13 @@ func TestConvIntoMatchesReference(t *testing.T) {
 		{8, 4, 9, 7, ConvParams{KernelH: 3, KernelW: 2, StrideH: 1, StrideW: 2}},
 		{3, 2, 5, 6, ConvParams{KernelH: 5, KernelW: 4, StrideH: 1, StrideW: 1, PadH: 2, PadW: 3}},
 		{2, 2, 3, 3, ConvParams{KernelH: 3, KernelW: 3, StrideH: 3, StrideW: 1, PadH: 0, PadW: 2}},
+		// Whole windows lie in the padding: their rows are all zeros, and
+		// they scatter nothing.
+		{2, 2, 1, 1, ConvParams{KernelH: 2, KernelW: 2, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}},
 	}
 	for ci, tc := range cases {
 		g := NewRNG(int64(7 + ci))
+		pm := NewPanelMap(tc.c, tc.h, tc.w, tc.p)
 		x := randTensor(g, tc.n, tc.c, tc.h, tc.w)
 		oh, ow := tc.p.OutSize(tc.h, tc.w)
 		cols := randTensor(g, tc.n*oh*ow, tc.c*tc.p.KernelH*tc.p.KernelW)
@@ -254,12 +258,12 @@ func TestConvIntoMatchesReference(t *testing.T) {
 		for _, workers := range intoWorkers {
 			withPool(workers, func() {
 				name := fmt.Sprintf("case %d workers=%d", ci, workers)
-				requireBitEqual(t, "Im2ColInto "+name, wantIm, Im2ColInto(dirty(wantIm.Size()), x, tc.p))
+				requireBitEqual(t, "Im2ColInto "+name, wantIm, Im2ColInto(dirty(wantIm.Size()), x, pm))
 				im := Im2Col(x, tc.p)
 				requireBitEqual(t, "Im2Col "+name, wantIm, im)
 				PutScratch(im)
 				dx := Ensure(dirty(wantC2I.Size()), tc.n, tc.c, tc.h, tc.w)
-				requireBitEqual(t, "Col2ImInto "+name, wantC2I, Col2ImInto(dx, cols, tc.p))
+				requireBitEqual(t, "Col2ImInto "+name, wantC2I, Col2ImInto(dx, cols, pm))
 				requireBitEqual(t, "Col2Im "+name, wantC2I, Col2Im(cols, tc.n, tc.c, tc.h, tc.w, tc.p))
 			})
 		}
@@ -444,7 +448,8 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 	g := NewRNG(5)
 	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x := randTensor(g, 4, 3, 8, 8)
-	cols := Im2ColInto(nil, x, p)
+	pm := NewPanelMap(3, 8, 8, p)
+	cols := Im2ColInto(nil, x, pm)
 	k := randTensor(g, 8, 27)
 	out := MatMulTransBInto(nil, cols, k)
 	dk := MatMulTransAInto(nil, out, cols)
@@ -455,11 +460,11 @@ func TestIntoKernelsAllocateNothing(t *testing.T) {
 	pooled, arg := MaxPool2DInto(nil, arg, x, pp)
 	sums := out.SumRowsInto(nil)
 	n := testing.AllocsPerRun(5, func() {
-		Im2ColInto(cols, x, p)
+		Im2ColInto(cols, x, pm)
 		MatMulTransBInto(out, cols, k)
 		MatMulTransAInto(dk, out, cols)
 		MatMulInto(dcols, out, k)
-		Col2ImInto(dx, dcols, p)
+		Col2ImInto(dx, dcols, pm)
 		MaxPool2DInto(pooled, arg, x, pp)
 		MaxPool2DBackwardInto(dx, pooled, arg)
 		out.SumRowsInto(sums)
