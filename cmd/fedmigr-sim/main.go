@@ -85,10 +85,9 @@ func main() {
 		features       = flag.Int("features", 64, "with -analytic: random-feature width of the frozen extractor")
 		ridge          = flag.Float64("ridge", 0, "with -analytic: ridge regularizer lambda (default 1e-3)")
 
-		jobsSpec     = flag.String("jobs", "", "multi-tenant mode: run N jobs over one shared client fleet; spec is name=a,demand=4,rounds=10[,weight=,scheme=,dataset=,model=,migrator=,agg=,tau=,lr=,batch=,perclass=,noise=,seed=];name=b,... — unset per-job keys inherit the top-level flags")
-		maxHydrated  = flag.Int("max-hydrated", 0, "with -jobs: admission budget on the summed demand of running jobs (0 = unlimited)")
-		hungarianMax = flag.Int("hungarian-max", 0, "with -jobs: max active clients solved with the exact Hungarian allocator; larger rounds use the greedy fallback (default 256)")
-		maxRounds    = flag.Int("max-rounds", 0, "with -jobs: hard bound on fleet rounds (0 = run until every job is done)")
+		jobsSpec    = flag.String("jobs", "", "multi-tenant mode: run N jobs over one shared client fleet; spec is name=a,demand=4,rounds=10[,weight=,scheme=,dataset=,model=,migrator=,agg=,tau=,lr=,batch=,perclass=,noise=,seed=];name=b,... — unset per-job keys inherit the top-level flags")
+		maxHydrated = flag.Int("max-hydrated", 0, "with -jobs: admission budget on the summed demand of running jobs (0 = unlimited)")
+		maxRounds   = flag.Int("max-rounds", 0, "with -jobs: hard bound on fleet rounds (0 = run until every job is done)")
 	)
 	flag.Parse()
 
@@ -195,8 +194,7 @@ func main() {
 			os.Exit(2)
 		}
 		fo := fedmigr.FleetOptions{
-			Clients: *clients, LANs: *lans,
-			MaxHydrated: *maxHydrated, HungarianMax: *hungarianMax,
+			Clients: *clients, LANs: *lans, MaxHydrated: *maxHydrated,
 			Workers: *workers, Faults: plan, Telemetry: tel, Seed: *seed,
 			Jobs: jobs,
 		}

@@ -43,7 +43,7 @@ func main() {
 
 	srv, err := fednet.NewServer(fednet.ServerConfig{
 		K: k, Rounds: rounds, AggEvery: aggEvery, BatchSize: 8, LR: 0.05,
-		Timeout: 30 * time.Second,
+		IOTimeout: 30 * time.Second,
 	}, factory, &core.GreedyEMDMigrator{})
 	if err != nil {
 		log.Fatal(err)
@@ -58,7 +58,7 @@ func main() {
 	var wg sync.WaitGroup
 	clients := make([]*fednet.Client, k)
 	for i := 0; i < k; i++ {
-		c, err := fednet.NewClient(fednet.ClientConfig{ServerAddr: addr, Timeout: 30 * time.Second}, parts[i], factory)
+		c, err := fednet.NewClient(fednet.ClientConfig{ServerAddr: addr, IOTimeout: 30 * time.Second}, parts[i], factory)
 		if err != nil {
 			log.Fatal(err)
 		}

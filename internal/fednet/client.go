@@ -25,11 +25,8 @@ type ClientConfig struct {
 	// IOTimeout bounds every blocking frame read/write. Inbound peer
 	// transfers are waited for at most IOTimeout/2, so a sender whose
 	// transfer failed cannot stall the receiver past the server's own
-	// per-phase deadline.
+	// per-phase deadline. Default 30s.
 	IOTimeout time.Duration
-	// Timeout is the deprecated name for IOTimeout, kept for
-	// compatibility; IOTimeout wins when both are set. Default 30s.
-	Timeout time.Duration
 	// JobID names the fleet job this client trains for. It rides the Hello
 	// frame; a server serving a different job turns the registration away.
 	// Empty joins the legacy single-job session.
@@ -54,9 +51,6 @@ type ClientConfig struct {
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = c.Timeout
 	}
 	if c.IOTimeout == 0 {
 		c.IOTimeout = 30 * time.Second

@@ -59,7 +59,7 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 	// Distributed run over loopback TCP with the identical schedule.
 	srv, err := NewServer(ServerConfig{
 		K: k, Rounds: rounds, AggEvery: 1, BatchSize: batch, LR: lr,
-		Timeout: 10 * time.Second,
+		IOTimeout: 10 * time.Second,
 	}, factory, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 	defer srv.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
-		c, err := NewClient(ClientConfig{ServerAddr: addr, Timeout: 10 * time.Second}, parts[i], factory)
+		c, err := NewClient(ClientConfig{ServerAddr: addr, IOTimeout: 10 * time.Second}, parts[i], factory)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,7 +157,7 @@ func runCountedSession(t *testing.T, k, rounds, aggEvery int, migrator core.Migr
 	}
 	srv, err := NewServer(ServerConfig{
 		K: k, Rounds: rounds, AggEvery: aggEvery, BatchSize: 8, LR: 0.05,
-		Timeout: 10 * time.Second,
+		IOTimeout: 10 * time.Second,
 	}, factory, migrator)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func runCountedSession(t *testing.T, k, rounds, aggEvery int, migrator core.Migr
 	var wg sync.WaitGroup
 	errs := make([]error, k)
 	for i := 0; i < k; i++ {
-		c, err := NewClient(ClientConfig{ServerAddr: addr, Timeout: 10 * time.Second}, parts[i], factory)
+		c, err := NewClient(ClientConfig{ServerAddr: addr, IOTimeout: 10 * time.Second}, parts[i], factory)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func TestJobIDKeyedSession(t *testing.T) {
 	}
 	srv, err := NewServer(ServerConfig{
 		JobID: "alpha", K: k, Rounds: 1, BatchSize: 8, LR: 0.05,
-		Timeout: 10 * time.Second,
+		IOTimeout: 10 * time.Second,
 	}, factory, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestJobIDKeyedSession(t *testing.T) {
 
 	// The stray tenant registers first: it must be rejected by job id.
 	stray, err := NewClient(ClientConfig{
-		ServerAddr: addr, JobID: "beta", Timeout: 10 * time.Second,
+		ServerAddr: addr, JobID: "beta", IOTimeout: 10 * time.Second,
 	}, parts[0], factory)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestJobIDKeyedSession(t *testing.T) {
 	errs := make([]error, k)
 	for i := 0; i < k; i++ {
 		c, err := NewClient(ClientConfig{
-			ServerAddr: addr, JobID: "alpha", Timeout: 10 * time.Second,
+			ServerAddr: addr, JobID: "alpha", IOTimeout: 10 * time.Second,
 		}, parts[i], factory)
 		if err != nil {
 			t.Fatal(err)

@@ -42,10 +42,8 @@ type ServerConfig struct {
 	// IOTimeout bounds every blocking frame read/write. A client that does
 	// not produce its expected frame within IOTimeout is declared dead and
 	// excluded from the rest of the session instead of blocking it.
+	// Default 30s.
 	IOTimeout time.Duration
-	// Timeout is the deprecated name for IOTimeout, kept for compatibility;
-	// IOTimeout wins when both are set. Default 30s.
-	Timeout time.Duration
 	// MinClients is the quorum: the session aborts only when fewer than
 	// MinClients remain alive (default 1 — the round completes with
 	// degraded membership as long as anyone survives).
@@ -82,9 +80,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
-	}
-	if c.IOTimeout == 0 {
-		c.IOTimeout = c.Timeout
 	}
 	if c.IOTimeout == 0 {
 		c.IOTimeout = 30 * time.Second

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+
 	"fedmigr/internal/edgenet"
 	"fedmigr/internal/qp"
 )
@@ -32,7 +34,7 @@ const jitterScale = 1e-6
 
 // forbiddenUtility marks a (slot, client) pair the assignment must avoid:
 // the client is outside the slot's job membership. Large and finite so the
-// Hungarian solver stays numerically well-posed; any assignment that picks
+// assignment solver stays numerically well-posed; any assignment that picks
 // one is filtered after solving.
 const forbiddenUtility = -1e18
 
@@ -85,27 +87,16 @@ func (m *Manager) allocate(due []*Job, takes []int, active []bool) map[*Job][]in
 		}
 		utility[si] = row
 	}
-	var dest []int
-	if len(clients) <= m.cfg.HungarianMax {
-		d, _, err := qp.SolveRectAssignment(utility)
-		if err != nil {
-			// Unreachable for well-formed instances; fall back rather than
-			// kill the round.
-			dest = m.greedyAssign(utility)
-			m.mGreedy.Inc()
-		} else {
-			dest = d
-			m.mHungarian.Inc()
-		}
-	} else {
-		dest = m.greedyAssign(utility)
-		m.mGreedy.Inc()
+	dest, _, err := qp.SolveAssignment(utility)
+	if err != nil {
+		// Every row spans the active clients and RunRound caps Σtakes at
+		// their count, so the instance is a non-empty rows ≤ cols
+		// rectangle by construction; an error means that invariant broke.
+		panic(fmt.Sprintf("fleet: invariant Σtakes ≤ active clients broken (%d slots, %d clients): %v",
+			len(slots), len(clients), err))
 	}
 	out := make(map[*Job][]int, len(due))
 	for si, ci := range dest {
-		if ci < 0 {
-			continue // more slots than active clients: slot unserved
-		}
 		j := slots[si].job
 		if !j.member(clients[ci]) {
 			continue // solver was cornered into a forbidden pair: slot unserved
@@ -116,35 +107,6 @@ func (m *Manager) allocate(due []*Job, takes []int, active []bool) map[*Job][]in
 		sortInts(got)
 	}
 	return out
-}
-
-// greedyAssign is the large-fleet fallback: each slot, in order, claims its
-// best unclaimed client — O(slots·clients) instead of the Hungarian cubic.
-// Ties resolve to the lowest client index (strict > comparison), keeping
-// the scan deterministic.
-func (m *Manager) greedyAssign(utility [][]float64) []int {
-	if len(utility) == 0 {
-		return nil
-	}
-	cols := len(utility[0])
-	taken := make([]bool, cols)
-	dest := make([]int, len(utility))
-	for si := range utility {
-		best, bestU := -1, 0.0
-		for ci := 0; ci < cols; ci++ {
-			if taken[ci] {
-				continue
-			}
-			if u := utility[si][ci]; best == -1 || u > bestU {
-				best, bestU = ci, u
-			}
-		}
-		dest[si] = best
-		if best >= 0 {
-			taken[best] = true
-		}
-	}
-	return dest
 }
 
 // sortInts is an insertion sort: allocation lists are demand-sized (tens),

@@ -144,15 +144,16 @@ func TestFairShareWeights(t *testing.T) {
 
 // TestAllocateDisjointSorted checks the allocator's two structural
 // invariants directly: no client serves two jobs in one round, and each
-// job's client list is ascending (the aggregation slot order).
+// job's client list is ascending (the aggregation slot order). It runs a
+// small fleet and one of 300 clients, both on the one exact solver.
 func TestAllocateDisjointSorted(t *testing.T) {
-	for _, hungarianMax := range []int{256, 1} { // exact, then forced-greedy
-		m, topo, cost := newFleet(t, Config{Seed: 9, HungarianMax: hungarianMax}, 10, nil, nil)
-		trA, sA := buildJob(t, 10, 1, nil, topo, cost)
+	for _, k := range []int{10, 300} {
+		m, topo, cost := newFleet(t, Config{Seed: 9}, k, nil, nil)
+		trA, sA := buildJob(t, k, 1, nil, topo, cost)
 		a, _ := m.Submit(JobConfig{Name: "a", Demand: 4, Rounds: 1, Samples: sA}, trA)
-		trB, sB := buildJob(t, 10, 2, nil, topo, cost)
+		trB, sB := buildJob(t, k, 2, nil, topo, cost)
 		b, _ := m.Submit(JobConfig{Name: "b", Demand: 5, Rounds: 1, Samples: sB}, trB)
-		active := make([]bool, 10)
+		active := make([]bool, k)
 		for i := range active {
 			active[i] = true
 		}
@@ -163,21 +164,21 @@ func TestAllocateDisjointSorted(t *testing.T) {
 			list := got[j]
 			want := j.Cfg.Demand
 			if len(list) != want {
-				t.Fatalf("hmax=%d: job %s got %d clients, want %d", hungarianMax, j.Cfg.Name, len(list), want)
+				t.Fatalf("k=%d: job %s got %d clients, want %d", k, j.Cfg.Name, len(list), want)
 			}
 			for i, c := range list {
 				if seen[c] {
-					t.Fatalf("hmax=%d: client %d allocated twice", hungarianMax, c)
+					t.Fatalf("k=%d: client %d allocated twice", k, c)
 				}
 				seen[c] = true
 				if i > 0 && list[i-1] >= c {
-					t.Fatalf("hmax=%d: job %s clients not ascending: %v", hungarianMax, j.Cfg.Name, list)
+					t.Fatalf("k=%d: job %s clients not ascending: %v", k, j.Cfg.Name, list)
 				}
 				total++
 			}
 		}
 		if total != 9 {
-			t.Fatalf("hmax=%d: allocated %d clients, want 9", hungarianMax, total)
+			t.Fatalf("k=%d: allocated %d clients, want 9", k, total)
 		}
 	}
 }

@@ -155,7 +155,10 @@ func TestHungarianErrors(t *testing.T) {
 	if _, _, err := SolveAssignment(nil); err == nil {
 		t.Fatal("empty instance must fail")
 	}
-	if _, _, err := SolveAssignment([][]float64{{1, 2}}); err == nil {
+	if _, _, err := SolveAssignment([][]float64{{1, 2}, {1}}); err == nil {
 		t.Fatal("ragged instance must fail")
+	}
+	if _, _, err := SolveAssignment([][]float64{{1}, {2}}); err == nil {
+		t.Fatal("tall instance must fail")
 	}
 }

@@ -14,37 +14,23 @@ func TestRectAssignmentKnownCases(t *testing.T) {
 		{1, 9, 2, 3},
 		{8, 7, 1, 1},
 	}
-	dest, val, err := SolveRectAssignment(u)
+	dest, val, err := SolveAssignment(u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dest[0] != 1 || dest[1] != 0 || math.Abs(val-17) > 1e-12 {
 		t.Fatalf("dest %v val %v, want [1 0] 17", dest, val)
 	}
-	// Tall: 3 slots over 2 clients — one row must stay unassigned.
-	u = [][]float64{
-		{5, 1},
-		{4, 4},
-		{1, 6},
-	}
-	dest, val, err = SolveRectAssignment(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dest[0] != 0 || dest[1] != -1 || dest[2] != 1 || math.Abs(val-11) > 1e-12 {
-		t.Fatalf("dest %v val %v, want [0 -1 1] 11", dest, val)
-	}
 }
 
-// Property: for random small rectangles (including tall ones), the padded
-// solver matches a brute-force search over every complete assignment of
-// min(rows, cols) pairs, and the returned dest is injective with exactly
-// min(rows, cols) real entries.
+// Property: for random small rectangles with rows ≤ cols, the solver
+// matches a brute-force search over every complete assignment of the rows,
+// and the returned dest is injective and assigns every row.
 func TestRectAssignmentVsBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		g := tensor.NewRNG(seed)
 		rows := 1 + g.Intn(4)
-		cols := 1 + g.Intn(5)
+		cols := rows + g.Intn(3)
 		u := make([][]float64, rows)
 		for i := range u {
 			u[i] = make([]float64, cols)
@@ -52,28 +38,19 @@ func TestRectAssignmentVsBruteForce(t *testing.T) {
 				u[i][j] = g.NormFloat64() * 3
 			}
 		}
-		dest, val, err := SolveRectAssignment(u)
+		dest, val, err := SolveAssignment(u)
 		if err != nil {
 			return false
 		}
-		assigned := 0
+		if len(dest) != rows {
+			return false
+		}
 		seen := make([]bool, cols)
 		for _, d := range dest {
-			if d == -1 {
-				continue
-			}
 			if d < 0 || d >= cols || seen[d] {
 				return false
 			}
 			seen[d] = true
-			assigned++
-		}
-		want := rows
-		if cols < want {
-			want = cols
-		}
-		if assigned != want {
-			return false
 		}
 		return math.Abs(val-bruteForceRect(u)) < 1e-9
 	}
@@ -83,75 +60,82 @@ func TestRectAssignmentVsBruteForce(t *testing.T) {
 }
 
 // bruteForceRect maximizes total utility over every injective assignment
-// of exactly min(rows, cols) rows to distinct columns.
+// of the rows to distinct columns.
 func bruteForceRect(u [][]float64) float64 {
 	rows, cols := len(u), len(u[0])
-	need := rows
-	if cols < need {
-		need = cols
-	}
 	used := make([]bool, cols)
 	best := math.Inf(-1)
-	var rec func(row, placed int, sum float64)
-	rec = func(row, placed int, sum float64) {
-		if placed == need {
+	var rec func(row int, sum float64)
+	rec = func(row int, sum float64) {
+		if row == rows {
 			if sum > best {
 				best = sum
 			}
 			return
 		}
-		if row == rows || rows-row < need-placed {
-			return
-		}
-		rec(row+1, placed, sum) // leave this row unassigned
 		for j := 0; j < cols; j++ {
 			if used[j] {
 				continue
 			}
 			used[j] = true
-			rec(row+1, placed+1, sum+u[row][j])
+			rec(row+1, sum+u[row][j])
 			used[j] = false
 		}
 	}
-	rec(0, 0, 0)
+	rec(0, 0)
 	return best
 }
 
 func TestRectAssignmentErrors(t *testing.T) {
-	if _, _, err := SolveRectAssignment(nil); err == nil {
+	if _, _, err := SolveAssignment(nil); err == nil {
 		t.Fatal("empty instance must fail")
 	}
-	if _, _, err := SolveRectAssignment([][]float64{{}}); err == nil {
+	if _, _, err := SolveAssignment([][]float64{{}}); err == nil {
 		t.Fatal("zero-column instance must fail")
 	}
-	if _, _, err := SolveRectAssignment([][]float64{{1, 2}, {1}}); err == nil {
+	if _, _, err := SolveAssignment([][]float64{{1, 2}, {1}}); err == nil {
 		t.Fatal("ragged instance must fail")
 	}
 }
 
-// BenchmarkRectAssignment is the allocator-shaped instance: a handful of
-// job slots over a much larger client pool. It is the cost the fleet
-// allocator pays per round on the exact (Hungarian) path, and the number
-// that justifies the greedy fallback above FleetConfig.HungarianMax
-// clients. Run it with `go test -bench RectAssignment ./internal/qp`.
+// BenchmarkRectAssignment times the fleet allocator's instance shape: a
+// handful of job slots over a much larger client pool, up to a
+// 100 000-client fleet. It runs two utility shapes. "independent" draws
+// every entry uniformly, so a row's best column is rarely taken and each
+// augmenting search stops after about one step: the O(rows·cols) best
+// case. "shared" is what fleet.allocate builds when clients differ in
+// cost: every slot ranks clients by one shared cost plus a 1e-6 per-slot
+// jitter, so row k's search passes the k−1 taken columns before it finds
+// a free one: the O(rows²·cols) worst case. Run it with
+// `go test -bench RectAssignment ./internal/qp`.
 func BenchmarkRectAssignment(b *testing.B) {
-	for _, size := range []struct{ slots, clients int }{{16, 64}, {24, 256}, {48, 1000}} {
-		b.Run(benchName(size.slots, size.clients), func(b *testing.B) {
-			g := tensor.NewRNG(7)
-			u := make([][]float64, size.slots)
-			for i := range u {
-				u[i] = make([]float64, size.clients)
-				for j := range u[i] {
-					u[i][j] = g.Float64()
+	for _, shape := range []string{"independent", "shared"} {
+		for _, size := range []struct{ slots, clients int }{{16, 64}, {24, 256}, {48, 1000}, {64, 1000}, {64, 100000}} {
+			b.Run(shape+"/"+benchName(size.slots, size.clients), func(b *testing.B) {
+				g := tensor.NewRNG(7)
+				cost := make([]float64, size.clients)
+				for j := range cost {
+					cost[j] = g.Float64()
 				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := SolveRectAssignment(u); err != nil {
-					b.Fatal(err)
+				u := make([][]float64, size.slots)
+				for i := range u {
+					u[i] = make([]float64, size.clients)
+					for j := range u[i] {
+						if shape == "shared" {
+							u[i][j] = -cost[j] + 1e-6*g.Float64()
+						} else {
+							u[i][j] = g.Float64()
+						}
+					}
 				}
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := SolveAssignment(u); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ go test -race -timeout 30m ./...
 # for bit — the branch-free max-pool select and ReLU, the backward that
 # stops at the lowest parameterised layer, Conv2D.InputGrad, Adam,
 # TrainStep, PER sampling, the input-only critic probe, the simplex
-# projection, the streaming aggregation sum — and a warmed TrainStep must
-# allocate nothing.
+# projection, the streaming aggregation sum, the assignment solver — and a
+# warmed TrainStep must allocate nothing.
 go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|TestGoldenSessionHash|MatchesReference|InputGrad|TestTrainStepAllocations|TestFrameAllocs|TestAppendParamsReusesBuffer' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core ./internal/fednet .
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
