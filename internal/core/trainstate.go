@@ -113,7 +113,7 @@ func (ts *TrainState) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint32(b[4:], TrainStateVersion)
 	b = wire.AppendInt(b, ts.ModelID)
 	b = wire.AppendInt(b, ts.Epoch)
-	b = wire.AppendInt(b, int(ts.Seed))
+	b = wire.AppendInt64(b, ts.Seed)
 	b = wire.AppendInts(b, ts.Order)
 	b = wire.AppendInt(b, ts.BatchCursor)
 	b = wire.AppendInt(b, ts.NumBatches)
@@ -143,7 +143,7 @@ func UnmarshalTrainState(b []byte) (*TrainState, error) {
 	var d wire.Decoder
 	d.Reset(b[8:])
 	ts := &TrainState{ // calls inside a composite literal run in source order
-		Version: int(ver), ModelID: d.Int(), Epoch: d.Int(), Seed: int64(d.Int()),
+		Version: int(ver), ModelID: d.Int(), Epoch: d.Int(), Seed: d.Int64(),
 		Order: d.Ints(), BatchCursor: d.Int(), NumBatches: d.Int(), LossSum: d.Float(),
 		LR: d.Float(), Momentum: d.Float(),
 		Params: d.Floats(), Velocity: d.Floats(), EffDist: d.Floats(), EffSeen: d.Float(),

@@ -75,17 +75,34 @@ func (m *Manager) allocate(due []*Job, takes []int, active []bool) map[*Job][]in
 	if len(slots) == 0 || len(clients) == 0 {
 		return map[*Job][]int{}
 	}
-	utility := make([][]float64, len(slots))
-	for si, sl := range slots {
-		row := make([]float64, len(clients))
-		for ci, c := range clients {
-			if !sl.job.member(c) {
-				row[ci] = forbiddenUtility
-				continue
-			}
-			row[ci] = m.clientUtility(sl.job, c) + jitterScale*allocJitter(m.cfg.Seed, m.round, si, c)
+	// A client's utility depends on the job, not the slot, so it is priced
+	// once per (job, client); each of the job's slots adds its own jitter.
+	// slots lists each job's slots together, in due order, so len(utility)
+	// is the slot index.
+	utility := make([][]float64, 0, len(slots))
+	base := make([]float64, len(clients))
+	member := make([]bool, len(clients))
+	for i, j := range due {
+		if takes[i] == 0 {
+			continue
 		}
-		utility[si] = row
+		for ci, c := range clients {
+			if member[ci] = j.member(c); member[ci] {
+				base[ci] = m.clientUtility(j, c)
+			}
+		}
+		for s := 0; s < takes[i]; s++ {
+			si := len(utility)
+			row := make([]float64, len(clients))
+			for ci, c := range clients {
+				if !member[ci] {
+					row[ci] = forbiddenUtility
+					continue
+				}
+				row[ci] = base[ci] + jitterScale*allocJitter(m.cfg.Seed, m.round, si, c)
+			}
+			utility = append(utility, row)
+		}
 	}
 	dest, _, err := qp.SolveAssignment(utility)
 	if err != nil {

@@ -345,3 +345,30 @@ func TestRestore(t *testing.T) {
 		t.Fatal("Restore with unknown job must error")
 	}
 }
+
+// BenchmarkFleetAllocate times one allocate of two 32-slot jobs over
+// 100 000 active clients whose compute rates are uniform in 1000–4000
+// samples/s, so every slot of a job ranks the clients the same way.
+func BenchmarkFleetAllocate(b *testing.B) {
+	const k = 100_000
+	m, _, cost := newFleet(b, Config{Seed: 9}, k, nil, nil)
+	g := tensor.NewRNG(7)
+	cost.ComputeRate = make([]float64, k)
+	samples := make([]int, k)
+	for c := range cost.ComputeRate {
+		cost.ComputeRate[c] = 1000 + 3000*g.Float64()
+		samples[c] = 50
+	}
+	jobs := []*Job{
+		{Cfg: JobConfig{Name: "a", Demand: 32, Samples: samples}, modelBytes: 1 << 20},
+		{Cfg: JobConfig{Name: "b", Demand: 32, Samples: samples}, modelBytes: 1 << 18},
+	}
+	active := make([]bool, k)
+	for i := range active {
+		active[i] = true
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.allocate(jobs, []int{32, 32}, active)
+	}
+}

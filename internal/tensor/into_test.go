@@ -179,11 +179,24 @@ func requireSameFloats(t *testing.T, name string, want, got *Tensor) {
 
 var intoWorkers = []int{1, 8}
 
+// useGoGEMM makes gemmGo the GEMM body until restore is called, so a
+// host whose init chose the AVX body holds both bodies to the references.
+func useGoGEMM() (restore func()) {
+	chosen := gemmBody
+	gemmBody = gemmGo
+	return func() { gemmBody = chosen }
+}
+
 func TestMatMulIntoMatchesReference(t *testing.T) {
+	// The AVX body tiles 4 rows by 8 columns over passes of at most 64
+	// terms: the rows below cover m = 4q+1..4q+3, n = 8q+1..8q+7, k = 0
+	// and k past one pass (65, 72, 129, 192, 200).
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 0, 3}, {3, 1, 5}, {1, 27, 8}, {1, 64, 10}, {2, 3, 4},
 		{5, 9, 7}, {7, 4, 9}, {17, 13, 6}, {33, 72, 16}, {64, 27, 8},
 		{130, 65, 35}, {8, 192, 33},
+		{6, 0, 9}, {4, 8, 8}, {5, 70, 9}, {6, 33, 10}, {7, 129, 11}, {9, 5, 12},
+		{10, 64, 13}, {11, 65, 14}, {13, 200, 15}, {12, 7, 17}, {4, 130, 23},
 	}
 	negZero := math.Copysign(0, -1)
 	specials := [][]float64{
@@ -212,18 +225,25 @@ func TestMatMulIntoMatchesReference(t *testing.T) {
 			sprinkle(b, sp...)
 			sprinkle(bt, sp...)
 			want := []*Tensor{refMatMul(a, b), refMatMulTransA(at, b), refMatMulTransB(a, bt)}
-			for _, workers := range intoWorkers {
-				withPool(workers, func() {
-					name := fmt.Sprintf("%dx%dx%d special=%d workers=%d", s.m, s.k, s.n, si, workers)
-					size := s.m * s.n
-					got := []*Tensor{
-						MatMulInto(dirty(size), a, b), MatMulTransAInto(dirty(size), at, b), MatMulTransBInto(dirty(size), a, bt),
-						MatMul(a, b), MatMulTransA(at, b), MatMulTransB(a, bt),
-					}
-					for i, c := range got {
-						requireSameFloats(t, fmt.Sprintf("kernel %d %s", i, name), want[i%3], c)
-					}
-				})
+			for _, body := range []string{"init", "go"} {
+				restore := func() {}
+				if body == "go" {
+					restore = useGoGEMM()
+				}
+				for _, workers := range intoWorkers {
+					withPool(workers, func() {
+						name := fmt.Sprintf("%dx%dx%d special=%d body=%s workers=%d", s.m, s.k, s.n, si, body, workers)
+						size := s.m * s.n
+						got := []*Tensor{
+							MatMulInto(dirty(size), a, b), MatMulTransAInto(dirty(size), at, b), MatMulTransBInto(dirty(size), a, bt),
+							MatMul(a, b), MatMulTransA(at, b), MatMulTransB(a, bt),
+						}
+						for i, c := range got {
+							requireSameFloats(t, fmt.Sprintf("kernel %d %s", i, name), want[i%3], c)
+						}
+					})
+				}
+				restore()
 			}
 		}
 	}

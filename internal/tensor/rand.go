@@ -52,7 +52,7 @@ func Randn(g *RNG, std float64, shape ...int) *Tensor {
 func Uniform(g *RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*g.Float64()
+		t.data[i] = lo + float64((hi-lo)*g.Float64())
 	}
 	return t
 }

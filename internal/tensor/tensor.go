@@ -246,7 +246,7 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 func (t *Tensor) AddScaledInPlace(o *Tensor, s float64) *Tensor {
 	t.check(o, "addScaled")
 	for i, v := range o.data {
-		t.data[i] += s * v
+		t.data[i] += float64(s * v)
 	}
 	return t
 }
@@ -339,7 +339,7 @@ func (t *Tensor) ArgMax() int {
 func (t *Tensor) Norm2() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -349,7 +349,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	t.check(o, "dot")
 	s := 0.0
 	for i, v := range t.data {
-		s += v * o.data[i]
+		s += float64(v * o.data[i])
 	}
 	return s
 }
@@ -359,26 +359,27 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 // The three GEMMs come in destination-passing form: c is reshaped in place
 // when its capacity suffices (see Ensure; nil allocates), every element of
 // it is overwritten — nothing relies on zeroed memory — and it is returned.
-// Register tiling never reorders a sum: each c[i][j] is still 0.0 plus its
-// terms in ascending p, so results are bit-identical to the textbook loops
-// for any tile width, worker count or destination history.
+// All three run one kernel (gemm.go), which never reorders a sum: each
+// c[i][j] is still +0 plus its terms in ascending p, so results are
+// bit-identical to the textbook loops for any kernel body, worker count or
+// destination history.
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n).
 func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
 
 // MatMulInto computes C = A·B into c. Terms whose A multiplicand is zero
 // are skipped (so 0·Inf contributes nothing, and sparse gradients are cheap).
-func MatMulInto(c, a, b *Tensor) *Tensor { return axpyGEMM(c, a, b, false) }
+func MatMulInto(c, a, b *Tensor) *Tensor { return matMulInto(c, a, b, false) }
 
 // MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n).
 func MatMulTransA(a, b *Tensor) *Tensor { return MatMulTransAInto(nil, a, b) }
 
 // MatMulTransAInto computes C = Aᵀ·B into c, with MatMulInto's zero skip.
-func MatMulTransAInto(c, a, b *Tensor) *Tensor { return axpyGEMM(c, a, b, true) }
+func MatMulTransAInto(c, a, b *Tensor) *Tensor { return matMulInto(c, a, b, true) }
 
-// axpyGEMM is MatMulInto (A is m×k) or MatMulTransAInto (A is k×m): the two
+// matMulInto is MatMulInto (A is m×k) or MatMulTransAInto (A is k×m): the two
 // differ only in how they step through A.
-func axpyGEMM(c, a, b *Tensor, transA bool) *Tensor {
+func matMulInto(c, a, b *Tensor, transA bool) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 tensors, got %v × %v", a.shape, b.shape))
 	}
@@ -393,74 +394,18 @@ func axpyGEMM(c, a, b *Tensor, transA bool) *Tensor {
 	c = Ensure(c, m, n)
 	// Output rows are independent, so the parallel split is over i.
 	if serial(m * k * n) {
-		axpyRows(c.data, a.data, ai, ap, k, n, b.data, 0, m)
+		gemmRows(c.data, a.data, ai, ap, b.data, k, n, false, 0, m)
 	} else {
-		parFor(m, m*k*n, func(lo, hi int) { axpyRows(c.data, a.data, ai, ap, k, n, b.data, lo, hi) })
+		parFor(m, m*k*n, func(lo, hi int) { gemmRows(c.data, a.data, ai, ap, b.data, k, n, false, lo, hi) })
 	}
 	return c
-}
-
-// axpyRows is the row kernel MatMul and MatMulTransA share: for output rows
-// [lo, hi) of the n-wide c it sets c[i][j] = Σ_p A(i,p)·b[p][j], where
-// A(i,p) = a[i·ai+p·ap], over the nonzero A(i,p) in ascending p. Four
-// nonzero terms are gathered before touching the row, so c[i][j] is loaded
-// and stored once per four additions instead of once per addition.
-func axpyRows(c, a []float64, ai, ap, k, n int, b []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		cr := c[i*n : (i+1)*n]
-		clear(cr)
-		var av [4]float64
-		var bo [4]int
-		cnt := 0
-		for p := 0; p < k; p++ {
-			v := a[i*ai+p*ap]
-			if v == 0 {
-				continue
-			}
-			av[cnt], bo[cnt] = v, p*n
-			if cnt++; cnt == 4 {
-				cnt = 0
-				axpy4(cr, &av, b, &bo, 4)
-			}
-		}
-		axpy4(cr, &av, b, &bo, cnt)
-	}
-}
-
-// axpy4 adds the first cnt ≤ 4 gathered terms a[q]·b[off[q]:] to cr in one
-// pass, in q order: cr[j] = (((cr[j] + t0) + t1) + t2) + t3.
-func axpy4(cr []float64, a *[4]float64, b []float64, off *[4]int, cnt int) {
-	n := len(cr)
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	switch cnt {
-	case 4:
-		b0, b1, b2, b3 := b[off[0]:][:n], b[off[1]:][:n], b[off[2]:][:n], b[off[3]:][:n]
-		for j := range cr {
-			cr[j] = cr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
-	case 3:
-		b0, b1, b2 := b[off[0]:][:n], b[off[1]:][:n], b[off[2]:][:n]
-		for j := range cr {
-			cr[j] = cr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j]
-		}
-	case 2:
-		b0, b1 := b[off[0]:][:n], b[off[1]:][:n]
-		for j := range cr {
-			cr[j] = cr[j] + a0*b0[j] + a1*b1[j]
-		}
-	case 1:
-		b0 := b[off[0]:][:n]
-		for j := range cr {
-			cr[j] += a0 * b0[j]
-		}
-	}
 }
 
 // MatMulTransB computes C = A·Bᵀ for A (m×k) and B (n×k).
 func MatMulTransB(a, b *Tensor) *Tensor { return MatMulTransBInto(nil, a, b) }
 
-// MatMulTransBInto computes C = A·Bᵀ into c: a dot product per element,
-// four output columns at a time, each in its own accumulator.
+// MatMulTransBInto computes C = A·Bᵀ into c. Unlike MatMulInto it skips no
+// term: a zero in A times an Inf or NaN in B makes a NaN.
 func MatMulTransBInto(c, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransB requires rank-2 tensors")
@@ -472,40 +417,11 @@ func MatMulTransBInto(c, a, b *Tensor) *Tensor {
 	}
 	c = Ensure(c, m, n)
 	if serial(m * k * n) {
-		dotRows(c.data, a.data, b.data, k, n, 0, m)
+		gemmRows(c.data, a.data, k, 1, b.data, k, n, true, 0, m)
 	} else {
-		parFor(m, m*k*n, func(lo, hi int) { dotRows(c.data, a.data, b.data, k, n, lo, hi) })
+		parFor(m, m*k*n, func(lo, hi int) { gemmRows(c.data, a.data, k, 1, b.data, k, n, true, lo, hi) })
 	}
 	return c
-}
-
-// dotRows sets c[i][j] = Σ_p a[i][p]·b[j][p] for output rows [lo, hi).
-func dotRows(c, a, b []float64, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a[i*k : (i+1)*k]
-		cr := c[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0, b1 := b[j*k:][:len(ar)], b[(j+1)*k:][:len(ar)]
-			b2, b3 := b[(j+2)*k:][:len(ar)], b[(j+3)*k:][:len(ar)]
-			var s0, s1, s2, s3 float64
-			for p, av := range ar {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			br := b[j*k:][:len(ar)]
-			s := 0.0
-			for p, av := range ar {
-				s += av * br[p]
-			}
-			cr[j] = s
-		}
-	}
 }
 
 // Transpose returns the transpose of a 2-D tensor as a new tensor.

@@ -17,6 +17,7 @@ import (
 var le = binary.LittleEndian
 
 func AppendInt(b []byte, v int) []byte       { return le.AppendUint64(b, uint64(v)) }
+func AppendInt64(b []byte, v int64) []byte   { return le.AppendUint64(b, uint64(v)) }
 func AppendFloat(b []byte, v float64) []byte { return le.AppendUint64(b, math.Float64bits(v)) }
 func AppendCount(b []byte, n int) []byte     { return le.AppendUint32(b, uint32(n)) }
 func AppendString(b []byte, s string) []byte { return append(AppendCount(b, len(s)), s...) }
@@ -91,22 +92,27 @@ func (d *Decoder) u64() uint64 {
 	return 0
 }
 
+// Int is Int64 narrowed to int. Fields that must keep all 64 bits on a
+// 32-bit host (seeds) use Int64.
 func (d *Decoder) Int() int       { return int(d.u64()) }
+func (d *Decoder) Int64() int64   { return int64(d.u64()) }
 func (d *Decoder) Float() float64 { return math.Float64frombits(d.u64()) }
 
 // Count reads a length prefix and verifies that count elements of at least
-// elemMin bytes each can still follow; otherwise it fails and returns 0.
+// elemMin bytes each can still follow and that the count fits an int;
+// otherwise it fails and returns 0. It computes in uint64, so a count near
+// 2³² cannot overflow on a 32-bit host.
 func (d *Decoder) Count(elemMin int) int {
 	p := d.take(4)
 	if p == nil {
 		return 0
 	}
-	n := int(le.Uint32(p))
-	if n*elemMin > len(d.b) {
-		d.err = fmt.Errorf("wire: %d elements need %d bytes, %d remain", n, n*elemMin, len(d.b))
+	n := uint64(le.Uint32(p))
+	if need := n * uint64(elemMin); need > uint64(len(d.b)) || n > math.MaxInt {
+		d.err = fmt.Errorf("wire: %d elements need %d bytes, %d remain", n, need, len(d.b))
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 func (d *Decoder) String() string { return string(d.take(d.Count(1))) }

@@ -14,7 +14,8 @@ func TestRoundTripEveryFieldKind(t *testing.T) {
 	b = AppendFloat(b, math.Copysign(0, -1))
 	b = AppendString(b, "héllo")
 	b = AppendBytes(b, []byte{1, 2, 3})
-	b = AppendInts(b, []int{math.MinInt64, 0, math.MaxInt64})
+	b = AppendInt64(b, math.MinInt64)
+	b = AppendInts(b, []int{math.MinInt, 0, math.MaxInt})
 	b = AppendFloats(b, []float64{1.5, nan})
 	b = AppendInts(b, nil)
 	b = AppendFloats(b, nil)
@@ -36,7 +37,10 @@ func TestRoundTripEveryFieldKind(t *testing.T) {
 	if !reflect.DeepEqual(blob, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", blob)
 	}
-	if got := d.Ints(); !reflect.DeepEqual(got, []int{math.MinInt64, 0, math.MaxInt64}) {
+	if got := d.Int64(); got != math.MinInt64 {
+		t.Errorf("Int64 = %d", got)
+	}
+	if got := d.Ints(); !reflect.DeepEqual(got, []int{math.MinInt, 0, math.MaxInt}) {
 		t.Errorf("Ints = %v", got)
 	}
 	if got := d.Floats(); len(got) != 2 || got[0] != 1.5 || math.Float64bits(got[1]) != math.Float64bits(nan) {
@@ -49,7 +53,7 @@ func TestRoundTripEveryFieldKind(t *testing.T) {
 	if d.Err() != nil || len(rest) != 2 || &rest[0] != &b[len(b)-2] {
 		t.Fatalf("Rest must alias the tail of the input: %v, err %v", rest, d.Err())
 	}
-	b[len(b)-3-8*3-4-8*2-4-3] = 9 // first byte of the Bytes payload
+	b[8+8+4+len("héllo")+4] = 9 // first byte of the Bytes payload
 	if blob[0] != 1 {
 		t.Error("Bytes must return a copy, not an alias into the decoded slice")
 	}
@@ -69,7 +73,7 @@ func TestDecoderChecksCountsBeforeAllocating(t *testing.T) {
 		// A count of 2³²−1 with three bytes behind it: allocating for it
 		// first would ask for gigabytes and take the test down.
 		var d Decoder
-		d.Reset(append(AppendCount(nil, math.MaxUint32), 1, 2, 3))
+		d.Reset(append(le.AppendUint32(nil, math.MaxUint32), 1, 2, 3))
 		read(&d)
 		if d.Err() == nil || !strings.Contains(d.Err().Error(), "remain") {
 			t.Errorf("%s: lying count accepted: %v", name, d.Err())

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# check.sh — the repo's pre-commit gate: formatting, vet, build, the full
-# test suite under the race detector (including the chaos fault-injection
+# check.sh — the repo's pre-commit gate: formatting, vet, build, a scan for
+# fused multiply-adds on four other GOARCHes, the kernel, aggregation and
+# codec tests as 32-bit binaries, the full test suite under the race detector (including the chaos fault-injection
 # session and the parallel-vs-serial parity tests), a trainer benchmark
 # smoke, and a short fuzz smoke over the frame, parameter-blob and
 # TrainState decoders.
@@ -16,6 +17,26 @@ fi
 
 go vet ./...
 go build ./...
+# No fused multiply-adds in the kernel and aggregation packages on any
+# GOARCH: amd64 never fuses, but arm64, ppc64le, s390x and riscv64 do unless
+# each product is rounded explicitly (float64(a*b)), and a fused op changes
+# the bits of a sum (DESIGN.md §5). The toolchain cross-compiles offline;
+# -gcflags=-S prints (or replays from the build cache) the assembly.
+for arch in arm64 ppc64le s390x riscv64; do
+    asm=$(GOARCH=$arch go build -gcflags=-S ./internal/tensor ./internal/agg 2>&1)
+    case "$asm" in *TEXT*) ;; *) echo "fma scan: no assembly listing for $arch" >&2; exit 1 ;; esac
+    fused=$(printf '%s\n' "$asm" | grep -E 'FN?M(ADD|SUB)' || true)
+    if [ -n "$fused" ]; then
+        echo "fma scan: fused multiply-adds under GOARCH=$arch:" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+done
+# The portable GEMM body, the aggregation sum and the wire codec as 32-bit
+# binaries, which run natively on amd64 Linux: a host without AVX runs
+# gemmGo, and a 32-bit int must not cut a seed or a count.
+GOARCH=386 go test ./internal/tensor ./internal/agg ./internal/wire
+GOARCH=386 go test -run TrainState ./internal/core
 # Project-specific invariants (determinism zones, lock discipline, error
 # handling, telemetry naming, float comparisons, goroutine lifecycle,
 # kernel allocation discipline, wire exhaustiveness) — exits non-zero on
