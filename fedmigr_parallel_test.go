@@ -82,11 +82,13 @@ func goldenRun(t *testing.T, o Options) string {
 }
 
 // TestGoldenModelHashes pins the arithmetic itself, not just its
-// invariance: the digests below were produced by the textbook kernels
-// (one accumulator, one term at a time) before they were register-tiled,
-// so a kernel that reorders a single sum — and would move every model
-// hash the benchmark gates on — fails here first. amd64 only: arm64 fuses
-// multiply-adds, which rounds differently by design.
+// invariance: the digests below are of runs whose every round, the last
+// one included, is aggregated, and the kernels computing them are
+// bit-identical to the textbook ones (one accumulator, one term at a
+// time; the MatchesReference tests prove it), so a kernel that reorders a
+// single sum — and would move every model hash the benchmark gates on —
+// fails here first. amd64 only: arm64 fuses multiply-adds, which rounds
+// differently by design.
 func TestGoldenModelHashes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned for amd64, not %s", runtime.GOARCH)
@@ -96,11 +98,11 @@ func TestGoldenModelHashes(t *testing.T) {
 		Clients: 6, LANs: 2, PerClass: 12, Epochs: 6, AggEvery: 2, // 3 rounds
 		BatchSize: 8, EvalEvery: 2, Workers: 1, Seed: 7,
 	})
-	if want := "d458e7da66e7868b346053dbdd2962375fc27593ba9bc5e0ea48d6dc624400c5"; cnn != want {
+	if want := "9e4acf911168b2724c034188383a31c59e815c877adb86ca44ec7d64cfa95d8d"; cnn != want {
 		t.Errorf("3-round C10CNN FedMigr run: global model digest %s, want %s", cnn, want)
 	}
 	_, sum := runFedMigr(t, 1, false)
-	if got, want := fmt.Sprintf("%x", sum), "ff6f38f09c96d363a9c3ae029a068918ef881810dc0bd194b5a75950061c05b4"; got != want {
+	if got, want := fmt.Sprintf("%x", sum), "bf1963fac4abc29ee6133aa3280c9367effe6a5354da903400781d5bd2829403"; got != want {
 		t.Errorf("2-round DRL run: global model digest %s, want %s", got, want)
 	}
 }

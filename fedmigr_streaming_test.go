@@ -134,8 +134,8 @@ func Test100kClientStreamingSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sim.Run()
-	if res.Rounds != 2 {
-		t.Fatalf("smoke run finished %d rounds, want 2", res.Rounds)
+	if res.Rounds != 3 {
+		t.Fatalf("smoke run finished %d rounds, want 3", res.Rounds)
 	}
 	if got := sim.Trainer.MaxHydrated(); got != cohort {
 		t.Fatalf("peak hydrated replicas = %d, want exactly the cohort size %d", got, cohort)

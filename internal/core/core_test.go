@@ -217,6 +217,86 @@ func TestTimeBudgetStops(t *testing.T) {
 	}
 }
 
+// TestRunBillsEveryRound: a jitter-free flat FedAvg run of R rounds bills
+// one download and one upload per client per round — the last round's
+// uploads included, also when MaxEpochs cuts that round short — counts R
+// rounds, and reports the accuracy of the global model it leaves behind.
+func TestRunBillsEveryRound(t *testing.T) {
+	const k, rounds, agg = 4, 3, 2
+	for _, maxEpochs := range []int{rounds * agg, rounds*agg - 1} {
+		clients, topo, test, factory := buildSetup(t, k, 2, false, 41)
+		tr, err := NewTrainer(Config{Scheme: FedAvg, AggEvery: agg, MaxEpochs: maxEpochs, Seed: 41},
+			clients, topo, edgenet.DefaultCostModel(), test, factory, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := tr.Run()
+		if res.Rounds != rounds || res.Epochs != maxEpochs || len(res.History) != rounds {
+			t.Fatalf("MaxEpochs %d: %d rounds, %d epochs, %d rows; want %d rounds of %d epochs, one row each",
+				maxEpochs, res.Rounds, res.Epochs, len(res.History), rounds, maxEpochs)
+		}
+		if want := 2 * rounds * k * tr.GlobalModel().ByteSize(); res.Snapshot.C2SBytes != want {
+			t.Fatalf("MaxEpochs %d: C2S bytes %d, want 2·R·K·model = %d", maxEpochs, res.Snapshot.C2SBytes, want)
+		}
+		if got := evalModel(tr.GlobalModel(), test); got != res.FinalAcc {
+			t.Fatalf("MaxEpochs %d: global model scores %v, FinalAcc says %v", maxEpochs, got, res.FinalAcc)
+		}
+	}
+}
+
+// TestTargetStopClosesRound: a target reached mid-round (AggEvery 5,
+// evaluated every epoch) ends the run on a closed round — cut short at the
+// stopping epoch, aggregated, billed and counted — and that epoch gets one
+// history row, the closed round's.
+func TestTargetStopClosesRound(t *testing.T) {
+	const k, agg = 4, 5
+	run := func(target float64) (*Trainer, *Result) {
+		clients, topo, test, factory := buildSetup(t, k, 2, true, 43)
+		tr, err := NewTrainer(Config{Scheme: FedAvg, AggEvery: agg, EvalEvery: 1, MaxEpochs: 40,
+			LR: 0.1, TargetAccuracy: target, Seed: 43}, clients, topo, edgenet.DefaultCostModel(), test, factory, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, tr.Run()
+	}
+	// The target is the first mid-round accuracy that beats every earlier
+	// row, so the stop fires at that epoch and nowhere before it.
+	_, free := run(0)
+	stopAt, target, best := -1, 0.0, 0.0
+	for _, m := range free.History {
+		if m.TestAcc > best && m.Epoch%agg != 0 {
+			stopAt, target = m.Epoch, m.TestAcc
+			break
+		}
+		best = max(best, m.TestAcc)
+	}
+	if stopAt < 0 {
+		t.Fatal("fixture: no mid-round accuracy ever beats the earlier rows")
+	}
+
+	tr, res := run(target)
+	wantRounds := (stopAt + agg - 1) / agg
+	if !res.ReachedTarget || res.Epochs != stopAt || res.Rounds != wantRounds {
+		t.Fatalf("stop: reached %v at epoch %d after %d rounds; want the target at epoch %d, round %d closed",
+			res.ReachedTarget, res.Epochs, res.Rounds, stopAt, wantRounds)
+	}
+	last := res.History[len(res.History)-1]
+	if last.Epoch != stopAt || last.Round != wantRounds {
+		t.Fatalf("last row at epoch %d round %d, want the closed round %d at epoch %d", last.Epoch, last.Round, wantRounds, stopAt)
+	}
+	for i := 1; i < len(res.History); i++ {
+		if res.History[i].Epoch <= res.History[i-1].Epoch {
+			t.Fatalf("epoch %d has two history rows", res.History[i].Epoch)
+		}
+	}
+	if want := 2 * int64(wantRounds*k) * tr.GlobalModel().ByteSize(); res.Snapshot.C2SBytes != want {
+		t.Fatalf("C2S bytes %d, want %d: the cut round's uploads must be billed", res.Snapshot.C2SBytes, want)
+	}
+	if got := evalModel(tr.GlobalModel(), tr.test); got != res.FinalAcc {
+		t.Fatalf("global model scores %v, FinalAcc says %v", got, res.FinalAcc)
+	}
+}
+
 func TestDeterministicUnderSeed(t *testing.T) {
 	a := runScheme2(t, RandMigr, Config{MaxEpochs: 8, AggEvery: 4}, 4, 2, false, NewRandomMigrator(11), 9)
 	b := runScheme2(t, RandMigr, Config{MaxEpochs: 8, AggEvery: 4}, 4, 2, false, NewRandomMigrator(11), 9)

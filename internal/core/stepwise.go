@@ -5,16 +5,17 @@ import (
 	"math"
 
 	"fedmigr/internal/telemetry"
+	"fedmigr/internal/tensor"
 )
 
-// This file is the externally driven round API: instead of Run owning the
-// whole training loop, an orchestrator (the fleet manager) picks each
-// round's participants and steps the trainer one global iteration at a
-// time. The round body is the same four-process schedule Run executes —
-// distribution, τ·AggEvery local epochs with migration events between,
-// aggregation, evaluation — so a sequence of RunRound calls is governed by
-// the same determinism argument (DESIGN.md §5): participant choice is the
-// caller's, everything downstream is a pure function of (config, seed,
+// This file is the round engine. trainRound is the one round body — the
+// four-process schedule of distribution, τ·AggEvery local epochs with
+// migration events between, and aggregation — and both drivers are thin
+// loops over it: RunRound steps it once for an orchestrator (the fleet
+// manager picks each round's participants), Run loops it under its
+// stopping rule. A sequence of RunRound calls is therefore governed by the
+// same determinism argument as Run (DESIGN.md §5): participant choice is
+// the caller's, everything downstream is a pure function of (config, seed,
 // epoch, participants).
 
 // SetParticipants forces the next rounds' participant set, overriding both
@@ -58,32 +59,100 @@ func (t *Trainer) Restore(epoch, round int) error {
 // and one evaluation — and returns its metrics record. participants may be
 // nil to let the trainer select (cohort sample or α-fraction).
 //
-// Unlike Run, RunRound installs no tensor pool: a caller stepping several
-// trainers over one shared pool installs it once around the whole loop
-// (tensor.InstallPool), and a standalone caller inherits the ambient pool.
-// MaxEpochs, EvalEvery and TargetAccuracy are ignored — the caller owns
-// the stopping rule; budgets are still accounted and readable through
-// Accountant.
+// RunRound is one pass of the round body Run loops over, without Run's
+// stopping rule: MaxEpochs, EvalEvery and TargetAccuracy are ignored and
+// the caller decides when to stop; budgets are still accounted and
+// readable through Accountant. It installs no tensor pool: a caller
+// stepping several trainers over one shared pool installs it once around
+// the whole loop (tensor.InstallPool), and a standalone caller inherits
+// the ambient pool.
 func (t *Trainer) RunRound(participants []int) RoundMetrics {
 	if participants != nil {
 		t.SetParticipants(participants)
 		defer t.SetParticipants(nil)
 	}
+	return t.closeRound(t.trainRound(t.epoch+t.cfg.Tau*t.cfg.AggEvery, nil))
+}
+
+// Run executes rounds until MaxEpochs, TargetAccuracy or a budget stops
+// the run, and returns the result. Every run ends on a closed round: a
+// stop that fires mid-round cuts the round short, and the cut round is
+// aggregated, billed and evaluated like any other, so Result.Rounds
+// counts it and GlobalModel is its aggregate.
+func (t *Trainer) Run() *Result {
+	// The run's pool also backs the tensor kernels: large matmul/conv/pool
+	// calls split across the same workers (nested regions degrade to
+	// inline execution, so concurrency stays bounded by cfg.Workers).
+	prevPool := tensor.InstallPool(t.pool)
+	defer tensor.InstallPool(prevPool)
+	defer t.Close()
+	cfg := t.cfg
+	res := &Result{}
+	atTarget := func(acc float64) bool { return cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy }
+	for !res.ReachedTarget && !res.BudgetExhausted && t.epoch < cfg.MaxEpochs {
+		end := min(t.epoch+cfg.Tau*cfg.AggEvery, cfg.MaxEpochs)
+		loss := t.trainRound(end, func() (bool, bool) {
+			// A mid-round evaluation point is a probe of the replicas; a
+			// probe that stops the run leaves its row to the closed round.
+			probe := t.epoch < end && t.epoch%cfg.EvalEvery == 0
+			acc := 0.0
+			if probe {
+				acc = t.evaluate()
+			}
+			res.ReachedTarget = probe && atTarget(acc)
+			res.BudgetExhausted = t.budgetExceeded()
+			if res.ReachedTarget || res.BudgetExhausted {
+				return true, res.ReachedTarget
+			}
+			if probe {
+				t.recordRound(t.lastLoss, acc)
+			}
+			return false, false
+		})
+		// The round's own uploads may exhaust a budget.
+		res.BudgetExhausted = t.budgetExceeded()
+		last := res.ReachedTarget || res.BudgetExhausted || t.epoch >= cfg.MaxEpochs
+		if last || t.epoch%cfg.EvalEvery == 0 {
+			res.FinalAcc = t.closeRound(loss).TestAcc
+			res.ReachedTarget = res.ReachedTarget || atTarget(res.FinalAcc)
+		}
+	}
+	res.History = t.history
+	res.FinalLoss = t.lastLoss
+	res.Epochs = t.epoch
+	res.Rounds = t.round
+	res.Duration = telemetry.Since(t.started)
+	res.Snapshot = t.acct.Snapshot()
+	t.tel.EmitSnapshot()
+	return res
+}
+
+// trainRound is the round body, the one place the four processes run:
+// Model Distribution, phases of τ local epochs up to epoch end with a
+// migration/swap event between consecutive phases, and Global
+// Aggregation. stop, when non-nil, is asked after every local epoch; its
+// done cuts the round short there and marks the migrator's last
+// transition terminal (success: the run ended at target accuracy). The
+// round always ends aggregated, so the global model is one the server
+// holds. It returns the round's last training loss.
+func (t *Trainer) trainRound(end int, stop func() (done, success bool)) float64 {
 	if t.started.IsZero() {
 		t.started = telemetry.Now()
 		t.lastLoss = math.Inf(1)
 		t.prevLoss = math.Inf(1)
 	}
-
 	t.applyFaults()
 	sp := t.tel.Begin("distribution")
 	t.distribute()
 	sp.End("epoch", t.epoch)
 
 	loss := t.lastLoss
-	for ev := 0; ev < t.cfg.AggEvery; ev++ {
-		preSnap := t.acct.Snapshot()
-		for i := 0; i < t.cfg.Tau; i++ {
+	var prev State   // the state the pending migration was planned on
+	var action []int // the pending migration, awaiting its feedback
+	var done, success bool
+	for t.epoch < end {
+		pre := t.acct.Snapshot()
+		for i := 0; i < t.cfg.Tau && t.epoch < end && !done; i++ {
 			t.applyFaults()
 			loss = t.localEpoch()
 			t.prevLoss, t.lastLoss = t.lastLoss, loss
@@ -91,31 +160,40 @@ func (t *Trainer) RunRound(participants []int) RoundMetrics {
 				t.prevLoss = loss
 			}
 			t.epoch++
-		}
-		post := t.acct.Snapshot()
-		st := t.snapshotState(post.ComputeSecs-preSnap.ComputeSecs, post.TotalBytes-preSnap.TotalBytes)
-		if t.pending != nil && t.migrator != nil {
-			t.migrator.Feedback(&t.pending.prev, t.pending.action, &st, false, false)
-			t.pending = nil
-		}
-		if ev+1 < t.cfg.AggEvery {
-			sp := t.tel.Begin("migration_event")
-			action := t.migrate(&st)
-			sp.End("epoch", t.epoch)
-			if action != nil && t.migrator != nil {
-				t.pending = &pendingFeedback{prev: st, action: action}
+			if stop != nil {
+				done, success = stop()
 			}
 		}
+		post := t.acct.Snapshot()
+		st := t.snapshotState(post.ComputeSecs-pre.ComputeSecs, post.TotalBytes-pre.TotalBytes)
+		// The previous action's feedback lands once its τ epochs have.
+		if action != nil {
+			t.migrator.Feedback(&prev, action, &st, done, success)
+			action = nil
+		}
+		if done || t.epoch >= end {
+			break
+		}
+		sp := t.tel.Begin("migration_event")
+		prev, action = st, t.migrate(&st)
+		sp.End("epoch", t.epoch)
 	}
 
 	sp = t.tel.Begin("aggregation")
 	t.aggregate()
 	sp.End("round", t.round, "epoch", t.epoch)
 	t.mRounds.Inc()
+	return loss
+}
 
-	acc := t.evaluate()
-	t.recordRound(loss, acc)
-	return t.history[len(t.history)-1]
+// closeRound evaluates a closed round and records its row: the one row per
+// round the round hook sees, with the aggregated global.
+func (t *Trainer) closeRound(loss float64) RoundMetrics {
+	rm := t.recordRound(loss, t.evaluate())
+	if t.roundHook != nil {
+		t.roundHook(rm, t.global)
+	}
+	return rm
 }
 
 // Close releases the trainer's scheduler pool when the trainer owns it

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"fedmigr/internal/agg"
@@ -63,7 +62,6 @@ type Trainer struct {
 	prevLoss  float64
 	stateMigr int // completed in-flight state migrations (mid-epoch rescues)
 	history   []RoundMetrics
-	pending   *pendingFeedback
 	modelSize int64
 	roundHook func(RoundMetrics, *nn.Sequential)
 
@@ -81,11 +79,6 @@ type Trainer struct {
 	mHydrated   *telemetry.Gauge
 	mAggParts   *telemetry.Counter
 	mAggPeak    *telemetry.Gauge
-}
-
-type pendingFeedback struct {
-	prev   State
-	action []int
 }
 
 // NewTrainer assembles a trainer. clients, topo and factory are required;
@@ -195,9 +188,11 @@ func (t *Trainer) SetTelemetry(tel *telemetry.Telemetry) {
 	t.pool.SetTelemetry(tel)
 }
 
-// SetRoundHook installs fn, invoked after every recorded evaluation with
-// the fresh metrics record and the current global model — the
-// checkpointing hook periodic persistence builds on.
+// SetRoundHook installs fn, invoked once for every closed round that
+// records a row (every round under the default EvalEvery) with that row
+// and the global model the round's aggregation produced — the held model
+// the checkpointing hook persists. Mid-round probes (an EvalEvery shorter
+// than a round) record rows but do not fire the hook.
 func (t *Trainer) SetRoundHook(fn func(RoundMetrics, *nn.Sequential)) { t.roundHook = fn }
 
 // applyFaults replays the fault plan for the current epoch: clients whose
@@ -237,10 +232,10 @@ func (t *Trainer) applyFaults() {
 	}
 }
 
-// recordRound appends one evaluation record to the history and emits the
+// recordRound appends one evaluation record to the history, emits the
 // matching telemetry gauges and JSONL "round" event — the single place
-// the two schemas are kept in agreement.
-func (t *Trainer) recordRound(loss, acc float64) {
+// the two schemas are kept in agreement — and returns the record.
+func (t *Trainer) recordRound(loss, acc float64) RoundMetrics {
 	snap := t.acct.Snapshot()
 	t.history = append(t.history, RoundMetrics{
 		Epoch: t.epoch, Round: t.round, TrainLoss: loss, TestAcc: acc,
@@ -255,9 +250,7 @@ func (t *Trainer) recordRound(loss, acc float64) {
 			"c2s_bytes", snap.C2SBytes, "wall_seconds", snap.WallSeconds,
 			"compute_seconds", snap.ComputeSecs)
 	}
-	if t.roundHook != nil {
-		t.roundHook(t.history[len(t.history)-1], t.global)
-	}
+	return t.history[len(t.history)-1]
 }
 
 // Epoch returns the current epoch index.
@@ -1106,120 +1099,4 @@ func (t *Trainer) budgetExceeded() bool {
 		return true
 	}
 	return false
-}
-
-// Run executes the training loop to completion and returns the result.
-func (t *Trainer) Run() *Result {
-	// The run's pool also backs the tensor kernels: large matmul/conv/pool
-	// calls split across the same workers (nested regions degrade to
-	// inline execution, so concurrency stays bounded by cfg.Workers).
-	prevPool := tensor.InstallPool(t.pool)
-	defer tensor.InstallPool(prevPool)
-	if t.ownPool {
-		defer t.pool.Close()
-	}
-	cfg := t.cfg
-	res := &Result{}
-	t.started = telemetry.Now()
-	t.lastLoss = math.Inf(1)
-	t.prevLoss = math.Inf(1)
-	lastAcc := 0.0
-
-	// Initial distribution of the (random) global model.
-	t.applyFaults()
-	sp := t.tel.Begin("distribution")
-	t.distribute()
-	sp.End("epoch", t.epoch)
-
-	eventsPerRound := cfg.AggEvery
-	stop := false
-	var stopSuccess bool
-	for !stop && t.epoch < cfg.MaxEpochs {
-		preSnap := t.acct.Snapshot()
-		// τ local epochs form one event's training phase.
-		var loss float64
-		for i := 0; i < cfg.Tau && t.epoch < cfg.MaxEpochs; i++ {
-			t.applyFaults()
-			loss = t.localEpoch()
-			t.prevLoss, t.lastLoss = t.lastLoss, loss
-			if math.IsInf(t.prevLoss, 1) {
-				t.prevLoss = loss
-			}
-			t.epoch++
-			if cfg.EvalEvery > 0 && t.epoch%cfg.EvalEvery == 0 {
-				lastAcc = t.evaluate()
-				t.recordRound(loss, lastAcc)
-				if cfg.TargetAccuracy > 0 && lastAcc >= cfg.TargetAccuracy {
-					stop, stopSuccess = true, true
-				}
-			}
-			if t.budgetExceeded() {
-				stop = true
-				res.BudgetExhausted = true
-			}
-			if stop {
-				break
-			}
-		}
-		post := t.acct.Snapshot()
-		epochCompute := post.ComputeSecs - preSnap.ComputeSecs
-		epochBytes := post.TotalBytes - preSnap.TotalBytes
-		st := t.snapshotState(epochCompute, epochBytes)
-
-		// Deliver the feedback for the previous action now that its τ
-		// training epochs have landed.
-		if t.pending != nil && t.migrator != nil {
-			t.migrator.Feedback(&t.pending.prev, t.pending.action, &st, stop, stopSuccess)
-			t.pending = nil
-		}
-		if stop || t.epoch >= cfg.MaxEpochs {
-			break
-		}
-
-		// Event boundary: migration/swap on all but the round's last
-		// event, aggregation + redistribution on the last.
-		eventIdx := (t.epoch / cfg.Tau) % eventsPerRound
-		if eventIdx == 0 {
-			sp := t.tel.Begin("aggregation")
-			t.aggregate()
-			sp.End("round", t.round, "epoch", t.epoch)
-			t.mRounds.Inc()
-			sp = t.tel.Begin("distribution")
-			t.distribute()
-			sp.End("epoch", t.epoch)
-		} else {
-			sp := t.tel.Begin("migration_event")
-			action := t.migrate(&st)
-			sp.End("epoch", t.epoch)
-			if action != nil && t.migrator != nil {
-				t.pending = &pendingFeedback{prev: st, action: action}
-			}
-		}
-		if t.budgetExceeded() {
-			res.BudgetExhausted = true
-			break
-		}
-	}
-
-	// Terminal feedback if an action is still pending.
-	if t.pending != nil && t.migrator != nil {
-		st := t.snapshotState(0, 0)
-		t.migrator.Feedback(&t.pending.prev, t.pending.action, &st, true, stopSuccess)
-		t.pending = nil
-	}
-
-	if len(t.history) == 0 || t.history[len(t.history)-1].Epoch != t.epoch {
-		lastAcc = t.evaluate()
-		t.recordRound(t.lastLoss, lastAcc)
-	}
-	res.History = t.history
-	res.FinalLoss = t.lastLoss
-	res.FinalAcc = lastAcc
-	res.Epochs = t.epoch
-	res.Rounds = t.round
-	res.Duration = telemetry.Since(t.started)
-	res.ReachedTarget = stopSuccess
-	res.Snapshot = t.acct.Snapshot()
-	t.tel.EmitSnapshot()
-	return res
 }

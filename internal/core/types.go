@@ -95,15 +95,27 @@ type Config struct {
 	ProxMu float64
 
 	// MaxEpochs bounds the run. An epoch is one pass of every model over
-	// its current host's local data.
+	// its current host's local data. A MaxEpochs that is not a whole
+	// number of rounds ends on a short final round, aggregated like any
+	// other.
 	MaxEpochs int
 	// EvalEvery is the test-evaluation period in epochs (default: every
-	// aggregation).
+	// aggregation). An evaluation point at a round's end scores the closed
+	// round, after its aggregation; one inside a round probes the average
+	// of the replicas.
 	EvalEvery int
 
 	// TargetAccuracy, when > 0, stops the run as soon as the evaluated
-	// accuracy reaches it (paper's Table I / Fig. 7 protocol).
+	// accuracy reaches it (paper's Table I / Fig. 7 protocol). A stop
+	// inside a round closes that round: it is cut short at the stopping
+	// epoch, aggregated, billed and evaluated, so the run still ends on a
+	// model the server holds.
 	TargetAccuracy float64
+	// The budgets stop the run the same way, checked after every epoch
+	// and after every aggregation: the round in progress is cut short,
+	// aggregated and billed, so a run may overrun a budget by its last
+	// uploads.
+	//
 	// ComputeBudget (seconds, 0 = unlimited) is B_c of Eq. (16).
 	ComputeBudget float64
 	// BandwidthBudget (bytes, 0 = unlimited) is B_b of Eq. (16).

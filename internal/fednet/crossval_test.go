@@ -42,12 +42,8 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 	for i := range simClients {
 		simClients[i] = &core.Client{ID: i, Data: parts[i]}
 	}
-	// MaxEpochs = rounds+1: the simulator aggregates at each epoch
-	// boundary *before* the next epoch, so its global model after epoch
-	// rounds+1 starts is exactly the aggregate of rounds epochs — the same
-	// point the distributed server reaches after its final round.
 	tr, err := core.NewTrainer(core.Config{
-		Scheme: core.FedAvg, AggEvery: 1, MaxEpochs: rounds + 1,
+		Scheme: core.FedAvg, AggEvery: 1, MaxEpochs: rounds,
 		BatchSize: batch, LR: lr, Seed: 1,
 	}, simClients, edgenet.EvenTopology(k, 1), nil, test, factory, nil)
 	if err != nil {

@@ -34,9 +34,10 @@ for arch in arm64 ppc64le s390x riscv64; do
 done
 # The portable GEMM body, the aggregation sum and the wire codec as 32-bit
 # binaries, which run natively on amd64 Linux: a host without AVX runs
-# gemmGo, and a 32-bit int must not cut a seed or a count.
+# gemmGo, and a 32-bit int must not cut a seed or a count. The core run
+# also proves Run ≡ R × RunRound (one round body) on that portable path.
 GOARCH=386 go test ./internal/tensor ./internal/agg ./internal/wire
-GOARCH=386 go test -run TrainState ./internal/core
+GOARCH=386 go test -run 'TrainState|RunMatchesRunRounds' ./internal/core
 # Project-specific invariants (determinism zones, lock discipline, error
 # handling, telemetry naming, float comparisons, goroutine lifecycle,
 # kernel allocation discipline, wire exhaustiveness) — exits non-zero on
