@@ -152,3 +152,56 @@ func Test100kClientStreamingSmoke(t *testing.T) {
 	t.Logf("100k clients: heap=%.1fMB max_hydrated=%d final_acc=%.3f",
 		float64(ms.HeapAlloc)/(1<<20), sim.Trainer.MaxHydrated(), res.FinalAcc)
 }
+
+// TestCohortRoundAllocsIndependentOfK pins the per-round cost contract of
+// cohort mode: a round allocates O(cohort), not O(K). The same cohort of
+// 16 trains at 2 000 and at 100 000 clients, and after two warm-up rounds
+// the bytes five rounds allocate may grow with K by at most 10 % + 16 KB.
+// The cohort draw's K Intn calls stay, but they allocate nothing. Under the
+// race detector sync.Pool drops a random quarter of the buffers put back
+// into the scratch arena, so bytes per round are random there: the rounds
+// still run, and the bound is skipped. One P keeps the arena's per-P cache
+// from missing when the goroutine changes threads.
+func TestCohortRoundAllocsIndependentOfK(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perRound := func(k int) float64 {
+		sim, err := New(Options{
+			Scheme:        SchemeFedAvg,
+			Model:         ModelMLP,
+			Partition:     PartitionReplicate,
+			ReplicaShards: 16,
+			Clients:       k,
+			LANs:          16,
+			PerClass:      8,
+			AggEvery:      1,
+			BatchSize:     8,
+			CohortSize:    16,
+			Workers:       1,
+			Seed:          5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Trainer.Close()
+		runtime.GC() // no collection of the setup's garbage inside the window
+		for range 2 {
+			sim.Trainer.RunRound(nil)
+		}
+		const rounds = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			sim.Trainer.RunRound(nil)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	small, large := perRound(2_000), perRound(100_000)
+	t.Logf("bytes allocated per round: K=2000 %.0f, K=100000 %.0f", small, large)
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops recycled buffers at random")
+	}
+	if large > 1.1*small+16<<10 {
+		t.Fatalf("a round at K=100000 allocates %.0f B against %.0f B at K=2000: per-round allocation grows with the population", large, small)
+	}
+}

@@ -30,19 +30,17 @@ func roundSeed(seed int64, round int) int64 {
 }
 
 // sample returns the round's cohort, sorted ascending (the sort fixes the
-// slot order of the aggregation tree). The draw is quorum-aware: when
-// fault churn leaves fewer than min active clients in the raw draw,
-// inactive draws are swapped for the next active spares in permutation
-// order — still a pure function of (seed, round, active mask), so partial
-// streaming aggregation under faults stays deterministic.
+// slot order of the aggregation tree). The cohort is the first size entries
+// of the round's permutation of the K clients, drawn without building the
+// permutation, so a draw allocates O(cohort) (its K Intn calls remain). The
+// draw is quorum-aware: when fault churn leaves fewer than min active
+// clients in the raw draw, inactive draws are swapped for the next active
+// spares in permutation order — still a pure function of (seed, round,
+// active mask), so partial streaming aggregation under faults stays
+// deterministic. Only that spare path redraws the whole permutation.
 func (s *cohortSampler) sample(round int, active []bool) []int {
-	size := s.size
-	if size > s.k {
-		size = s.k
-	}
-	g := tensor.NewRNG(roundSeed(s.seed, round))
-	perm := g.Perm(s.k)
-	cohort := append([]int(nil), perm[:size]...)
+	size := min(s.size, s.k)
+	cohort := tensor.NewRNG(roundSeed(s.seed, round)).PermPrefix(s.k, size)
 	act := 0
 	for _, c := range cohort {
 		if active[c] {
@@ -50,7 +48,7 @@ func (s *cohortSampler) sample(round int, active []bool) []int {
 		}
 	}
 	if act < s.min {
-		spares := perm[size:]
+		spares := tensor.NewRNG(roundSeed(s.seed, round)).PermPrefix(s.k, s.k)[size:]
 		si := 0
 		for i := range cohort {
 			if act >= s.min {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"fedmigr/internal/faults"
+	"fedmigr/internal/tensor"
 )
 
 // TestCohortSamplerQuorumTopUp pins the sampler's contract: the draw is a
@@ -86,6 +88,96 @@ func TestCohortQuorumUnderCrashes(t *testing.T) {
 	for i := range a.History {
 		if a.History[i].TrainLoss != b.History[i].TrainLoss {
 			t.Fatalf("round %d losses diverge: %v vs %v", i, a.History[i].TrainLoss, b.History[i].TrainLoss)
+		}
+	}
+}
+
+// referenceCohortSample is the sampler as it was before it stopped building
+// the permutation, kept verbatim as the reference: it draws all of Perm(k)
+// and takes its prefix, and tops the quorum up from the rest.
+func referenceCohortSample(s *cohortSampler, round int, active []bool) []int {
+	size := s.size
+	if size > s.k {
+		size = s.k
+	}
+	g := tensor.NewRNG(roundSeed(s.seed, round))
+	perm := g.Perm(s.k)
+	cohort := append([]int(nil), perm[:size]...)
+	act := 0
+	for _, c := range cohort {
+		if active[c] {
+			act++
+		}
+	}
+	if act < s.min {
+		spares := perm[size:]
+		si := 0
+		for i := range cohort {
+			if act >= s.min {
+				break
+			}
+			if active[cohort[i]] {
+				continue
+			}
+			for si < len(spares) && !active[spares[si]] {
+				si++
+			}
+			if si >= len(spares) {
+				break // not enough active clients anywhere
+			}
+			cohort[i] = spares[si]
+			si++
+			act++
+		}
+	}
+	sort.Ints(cohort)
+	return cohort
+}
+
+// TestCohortSampleMatchesReference holds the prefix-only sampler to the
+// full-permutation reference: the same cohort for every seed, population,
+// cohort size and round, and on the quorum-spare path with no deficit, a
+// deficit of one, and too few active clients anywhere.
+func TestCohortSampleMatchesReference(t *testing.T) {
+	check := func(s *cohortSampler, round int, active []bool, what string) {
+		t.Helper()
+		got, want := s.sample(round, active), referenceCohortSample(s, round, active)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: k=%d size=%d min=%d seed=%d round=%d: cohort %v, reference %v",
+				what, s.k, s.size, s.min, s.seed, round, got, want)
+		}
+	}
+	for _, k := range []int{1, 2, 7, 64, 1000, 100000} {
+		all := make([]bool, k)
+		for i := range all {
+			all[i] = true
+		}
+		for _, seed := range []int64{1, 77, -9} {
+			for _, size := range []int{1, 2, 7, 64, k + 1} {
+				for _, round := range []int{0, 5} {
+					s := &cohortSampler{k: k, size: size, seed: seed}
+					check(s, round, all, "all active")
+
+					// No deficit: every draw is active, quorum = size.
+					s.min = min(size, k)
+					check(s, round, all, "quorum met")
+
+					// A deficit of one: exactly one drawn client is down.
+					raw := referenceCohortSample(&cohortSampler{k: k, size: size, seed: seed}, round, all)
+					oneDown := slices.Clone(all)
+					oneDown[raw[len(raw)/2]] = false
+					check(s, round, oneDown, "deficit of one")
+
+					// Too few active clients anywhere: only the last two
+					// clients are up, short of a quorum of three.
+					few := make([]bool, k)
+					for c := max(0, k-2); c < k; c++ {
+						few[c] = true
+					}
+					s.min = 3
+					check(s, round, few, "too few active")
+				}
+			}
 		}
 	}
 }

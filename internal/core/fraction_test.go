@@ -157,9 +157,7 @@ func TestAggregateSkipsNonParticipants(t *testing.T) {
 	}
 	// Manually mark only client 0 as participant and give its model a
 	// known constant; the aggregate must equal that constant exactly.
-	for i := range tr.participants {
-		tr.participants[i] = i == 0
-	}
+	tr.markParticipants([]int{0})
 	n := tr.global.NumParams()
 	for m := range tr.models {
 		tr.models[m].SetParamVector(tensor.Full(float64(m+1), n))

@@ -164,18 +164,27 @@ func (t *Trainer) trainRound(end int, stop func() (done, success bool)) float64 
 				done, success = stop()
 			}
 		}
-		post := t.acct.Snapshot()
-		st := t.snapshotState(post.ComputeSecs-pre.ComputeSecs, post.TotalBytes-pre.TotalBytes)
+		// Only a migrator reads the environment snapshot (its K-sized
+		// location copy and engagement mask are O(K) to build).
+		var st *State
+		if t.migrator != nil {
+			post := t.acct.Snapshot()
+			s := t.snapshotState(post.ComputeSecs-pre.ComputeSecs, post.TotalBytes-pre.TotalBytes)
+			st = &s
+		}
 		// The previous action's feedback lands once its τ epochs have.
 		if action != nil {
-			t.migrator.Feedback(&prev, action, &st, done, success)
+			t.migrator.Feedback(&prev, action, st, done, success)
 			action = nil
 		}
 		if done || t.epoch >= end {
 			break
 		}
 		sp := t.tel.Begin("migration_event")
-		prev, action = st, t.migrate(&st)
+		action = t.migrate(st)
+		if action != nil {
+			prev = *st
+		}
 		sp.End("epoch", t.epoch)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"fedmigr/internal/agg"
@@ -32,9 +33,22 @@ type Trainer struct {
 	opts         []*nn.SGD
 	loc          []int // model m → hosting client
 	active       []bool
-	participants []bool // per-round α-selection (Sec. II-A)
+	participants []bool // per-round α-selection (Sec. II-A), as a mask
+	parts        []int  // the same selection as an ascending list
 	forced       []int  // externally chosen participants (fleet allocator)
 	migrator     Migrator
+	totalN       float64 // Σ home dataset sizes, the evaluation normalizer
+
+	// live lists the materialized replicas in ascending model order: every
+	// model when all replicas stay resident, the round's participants under
+	// lazy hydration. The round's loops walk it (and parts) instead of
+	// 0..K, in the same ascending order, so a cohort round costs O(cohort)
+	// and every float sum and cost draw keeps its order.
+	live []int
+	// hostTime[c] accumulates client c's compute seconds within one local
+	// epoch; hosts lists the clients it touched. Both are reset after use.
+	hostTime []float64
+	hosts    []int
 
 	// Cohort mode (cfg.CohortSize > 0): models[m]/opts[m] are nil unless
 	// client m is in the current cohort; hydrate materializes a replica
@@ -144,13 +158,19 @@ func NewTrainer(cfg Config, clients []*Client, topo *edgenet.Topology, cost *edg
 			t.models[m].CopyParamsFrom(t.global)
 			t.opts[m] = nn.NewSGDMomentum(cfg.LR, cfg.Momentum)
 			t.participants[m] = true
+			t.parts = append(t.parts, m)
 		}
 		t.loc[m] = m
 		t.active[m] = true
 		t.clientDist[m] = clients[m].Data.LabelDistribution()
 		t.effDist[m] = t.clientDist[m]
 		t.effSeen[m] = float64(clients[m].Data.Len())
+		t.totalN += t.effSeen[m]
 	}
+	if !t.lazy {
+		t.live = append([]int(nil), t.parts...)
+	}
+	t.hostTime = make([]float64, k)
 	// Straggler injection: the plan's slow-down factors scale the affected
 	// clients' simulated compute for the whole run.
 	for c, f := range cfg.Faults.Stragglers() {
@@ -347,15 +367,6 @@ func (t *Trainer) MaxHydrated() int {
 	return t.maxHydrated
 }
 
-// totalWeight returns the aggregation normalizer N (active home datasets).
-func (t *Trainer) totalWeight() float64 {
-	n := 0.0
-	for _, c := range t.clients {
-		n += float64(c.Data.Len())
-	}
-	return n
-}
-
 // snapshotState builds the migrator-facing environment snapshot. D[m][j]
 // is the EMD between model m's effective training mixture (Eq. 12) and
 // client j's local data distribution — the quantity a migration of m to j
@@ -415,17 +426,14 @@ func (t *Trainer) snapshotState(epochCompute float64, epochBytes int64) State {
 // index order, making the epoch bit-identical to a serial run.
 func (t *Trainer) localEpoch() float64 {
 	sp := t.tel.Begin("local_epoch")
-	k := len(t.models)
 	var globalVec *tensor.Tensor
 	if t.cfg.Scheme == FedProx && t.cfg.ProxMu > 0 {
 		globalVec = t.global.ParamVector()
 	}
 	if t.cfg.LRSchedule != nil {
 		lr := t.cfg.LRSchedule.LR(t.epoch)
-		for _, opt := range t.opts {
-			if opt != nil {
-				opt.LR = lr
-			}
+		for _, m := range t.live {
+			t.opts[m].LR = lr
 		}
 	}
 	// Snapshot the work list sequentially: engagement (faults + α-selection)
@@ -437,11 +445,8 @@ func (t *Trainer) localEpoch() float64 {
 		m, host int
 		cut     int // mid-epoch crash cursor (-1 = uninterrupted)
 	}
-	jobs := make([]job, 0, k)
-	for m := 0; m < k; m++ {
-		if t.models[m] == nil {
-			continue // cohort mode: replica not hydrated this round
-		}
+	jobs := make([]job, 0, len(t.live))
+	for _, m := range t.live {
 		host := t.loc[m]
 		if !t.engaged(host) || t.clients[host].Data.Len() == 0 {
 			continue
@@ -458,21 +463,20 @@ func (t *Trainer) localEpoch() float64 {
 	t.pool.ForEach("local_epoch", len(jobs), func(i int) {
 		j := jobs[i]
 		ds := t.clients[j.host].Data
-		g := tensor.NewRNG(modelEpochSeed(t.cfg.Seed, t.epoch, j.m))
+		seed := modelEpochSeed(t.cfg.Seed, t.epoch, j.m)
 		if j.cut >= 0 {
 			// Interrupted epoch: train the prefix, then capture the
 			// in-flight TrainState through the real wire codec — the
 			// coordinator resumes it on another node below. losses[i]
 			// temporarily holds the partial loss *sum*; the resume
 			// overwrites it with the finished epoch's average.
-			order := t.epochBatchOrder(ds, g)
+			order := t.epochBatchOrder(ds, seed)
 			cut := j.cut
 			if cut > len(order) {
 				cut = len(order)
 			}
 			lossSum := t.trainBatches(t.models[j.m], t.opts[j.m], ds, globalVec, order[:cut])
-			ts := CaptureTrainState(j.m, t.epoch, modelEpochSeed(t.cfg.Seed, t.epoch, j.m),
-				order, cut, lossSum, t.models[j.m], t.opts[j.m])
+			ts := CaptureTrainState(j.m, t.epoch, seed, order, cut, lossSum, t.models[j.m], t.opts[j.m])
 			blob, err := ts.Marshal()
 			if err != nil {
 				panic(fmt.Sprintf("core: capture TrainState for model %d: %v", j.m, err))
@@ -481,7 +485,7 @@ func (t *Trainer) localEpoch() float64 {
 			losses[i] = lossSum
 			ctime[i] = t.cost.ComputeTime(j.host, t.batchSpanSamples(ds, order[:cut]))
 		} else {
-			losses[i] = t.trainOneEpoch(t.models[j.m], t.opts[j.m], ds, globalVec, g)
+			losses[i] = t.trainOneEpoch(t.models[j.m], t.opts[j.m], ds, globalVec, seed)
 			ctime[i] = t.cost.ComputeTime(j.host, ds.Len())
 		}
 		// Fold the host's distribution into the model's effective mixture
@@ -490,7 +494,7 @@ func (t *Trainer) localEpoch() float64 {
 		// trains over this host's shard.
 		n := float64(ds.Len())
 		mix := make(stats.Distribution, len(t.effDist[j.m]))
-		hostDist := ds.LabelDistribution()
+		hostDist := t.clientDist[j.host]
 		tot := t.effSeen[j.m] + n
 		for c := range mix {
 			mix[c] = (t.effDist[j.m][c]*t.effSeen[j.m] + hostDist[c]*n) / tot
@@ -500,17 +504,14 @@ func (t *Trainer) localEpoch() float64 {
 	})
 	// Migrate and resume interrupted replicas on the coordinator, in
 	// job-index order — deterministic for any worker count.
-	perClientTime := make([]float64, k)
 	migrateWall := 0.0
 	for i, j := range jobs {
 		if blobs[i] == nil {
 			continue
 		}
-		avg, dt, wall := t.resumeInterrupted(j.m, j.host, blobs[i], globalVec)
+		avg, c, sec, wall := t.resumeInterrupted(j.m, j.host, blobs[i], globalVec)
 		losses[i] = avg
-		for c, s := range dt {
-			perClientTime[c] += s
-		}
+		t.chargeHost(c, sec)
 		if wall > migrateWall {
 			migrateWall = wall
 		}
@@ -519,15 +520,24 @@ func (t *Trainer) localEpoch() float64 {
 	lossSum := 0.0
 	for i, j := range jobs {
 		lossSum += losses[i]
-		perClientTime[j.host] += ctime[i]
+		t.chargeHost(j.host, ctime[i])
 	}
+	// Per-client totals in ascending client order: the clients no job
+	// touched would each add +0, which changes no bit of the sum.
+	sort.Ints(t.hosts)
 	wall, device := 0.0, 0.0
-	for _, s := range perClientTime {
+	for i, c := range t.hosts {
+		if i > 0 && c == t.hosts[i-1] {
+			continue
+		}
+		s := t.hostTime[c]
+		t.hostTime[c] = 0
 		device += s
 		if s > wall {
 			wall = s
 		}
 	}
+	t.hosts = t.hosts[:0]
 	t.acct.AddWallTime(wall + migrateWall)
 	t.acct.AddComputeTime(device)
 	t.mEpochs.Inc()
@@ -537,6 +547,12 @@ func (t *Trainer) localEpoch() float64 {
 	}
 	sp.End("epoch", t.epoch, "loss", avg)
 	return avg
+}
+
+// chargeHost adds sec to client c's compute time for the current epoch.
+func (t *Trainer) chargeHost(c int, sec float64) {
+	t.hostTime[c] += sec
+	t.hosts = append(t.hosts, c)
 }
 
 // modelEpochSeed derives the seed of the RNG stream model m uses during
@@ -553,12 +569,12 @@ func modelEpochSeed(seed int64, epoch, m int) int64 {
 }
 
 // trainOneEpoch runs τ=1 pass of mini-batch SGD of model over ds,
-// optionally adding the FedProx proximal gradient μ(w − w_g). g is the
+// optionally adding the FedProx proximal gradient μ(w − w_g). seed keys the
 // model's private stochasticity stream for this epoch; it drives the
 // optional batch-order shuffle. The batch lives in the model's own input
 // buffer, so steady-state training allocates no batch storage.
-func (t *Trainer) trainOneEpoch(model *nn.Sequential, opt *nn.SGD, ds *data.Dataset, globalVec *tensor.Tensor, g *tensor.RNG) float64 {
-	order := t.epochBatchOrder(ds, g)
+func (t *Trainer) trainOneEpoch(model *nn.Sequential, opt *nn.SGD, ds *data.Dataset, globalVec *tensor.Tensor, seed int64) float64 {
+	order := t.epochBatchOrder(ds, seed)
 	if len(order) == 0 {
 		return 0
 	}
@@ -567,19 +583,20 @@ func (t *Trainer) trainOneEpoch(model *nn.Sequential, opt *nn.SGD, ds *data.Data
 }
 
 // epochBatchOrder returns the epoch's batch visiting order: the identity
-// permutation, shuffled through the model's private RNG stream when
-// ShuffleBatches asks for it. The returned order is the materialized
-// position of the stream — storing it in a TrainState pins a mid-epoch
-// resume to the exact same batches without serializing raw RNG internals.
-func (t *Trainer) epochBatchOrder(ds *data.Dataset, g *tensor.RNG) []int {
+// permutation, shuffled through the model's private RNG stream (seeded by
+// seed, and built only then) when ShuffleBatches asks for it. The returned
+// order is the materialized position of the stream — storing it in a
+// TrainState pins a mid-epoch resume to the exact same batches without
+// serializing raw RNG internals.
+func (t *Trainer) epochBatchOrder(ds *data.Dataset, seed int64) []int {
 	b := t.cfg.BatchSize
 	nb := (ds.Len() + b - 1) / b
 	order := make([]int, nb)
 	for i := range order {
 		order[i] = i
 	}
-	if t.cfg.ShuffleBatches && g != nil {
-		g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	if t.cfg.ShuffleBatches {
+		tensor.NewRNG(seed).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	return order
 }
@@ -622,12 +639,13 @@ func (t *Trainer) trainBatches(model *nn.Sequential, opt *nn.SGD, ds *data.Datas
 // batches of the victim's shard are replayed from the captured order and
 // cursor — bit-identical to an uninterrupted epoch, since the parameters,
 // momentum buffers, batch order and loss accumulator all travel in the
-// blob. Returns the finished epoch's average loss, per-client compute-time
-// deltas, and the wall time of the state transfer + remainder.
+// blob. Returns the finished epoch's average loss, the client charged with
+// the remainder's compute and its seconds, and the wall time of the state
+// transfer + remainder.
 //
 // Runs on the coordinator in job-index order, so results are identical for
 // any worker count.
-func (t *Trainer) resumeInterrupted(m, victim int, blob []byte, globalVec *tensor.Tensor) (float64, []float64, float64) {
+func (t *Trainer) resumeInterrupted(m, victim int, blob []byte, globalVec *tensor.Tensor) (avg float64, client int, sec, wall float64) {
 	ts, err := UnmarshalTrainState(blob)
 	if err != nil {
 		panic(fmt.Sprintf("core: migrated TrainState for model %d: %v", m, err))
@@ -648,21 +666,17 @@ func (t *Trainer) resumeInterrupted(m, victim int, blob []byte, globalVec *tenso
 	ds := t.clients[victim].Data
 	rest := ts.Order[ts.BatchCursor:]
 	lossSum := ts.LossSum + t.trainBatches(fresh, freshOpt, ds, globalVec, rest)
-	avg := 0.0
 	if ts.NumBatches > 0 {
 		avg = lossSum / float64(ts.NumBatches)
 	}
 
-	dt := make([]float64, len(t.clients))
-	wall := 0.0
 	target := t.rescueTarget(victim)
 	if target >= 0 {
 		kind := t.topo.Kind(victim, target)
 		t.acct.RecordTransfer(victim, target, kind, int64(len(blob)))
 		wall = t.cost.TransferTime(victim, target, kind, int64(len(blob)))
-		rem := t.cost.ComputeTime(target, t.batchSpanSamples(ds, rest))
-		dt[target] += rem
-		wall += rem
+		sec = t.cost.ComputeTime(target, t.batchSpanSamples(ds, rest))
+		wall += sec
 		t.loc[m] = target
 		t.stateMigr++
 		t.mStateMigr.Inc()
@@ -675,9 +689,9 @@ func (t *Trainer) resumeInterrupted(m, victim int, blob []byte, globalVec *tenso
 		// No live rescuer: the epoch still finishes (the simulator can
 		// always replay the remainder), but hosting stays put and the
 		// remainder's compute is charged to the dying node.
-		dt[victim] += t.cost.ComputeTime(victim, t.batchSpanSamples(ds, rest))
+		return avg, victim, t.cost.ComputeTime(victim, t.batchSpanSamples(ds, rest)), 0
 	}
-	return avg, dt, wall
+	return avg, target, sec, wall
 }
 
 // rescueTarget picks the node that adopts a dying client's in-flight
@@ -731,11 +745,15 @@ func (t *Trainer) addProxGrad(model *nn.Sequential, globalVec *tensor.Tensor) {
 func (t *Trainer) selectParticipants() {
 	t.chooseParticipants()
 	if p := t.cfg.Faults; p != nil {
-		for c := range t.participants {
-			if t.participants[c] && !p.PresentAt(c, t.epoch) {
+		kept := t.parts[:0]
+		for _, c := range t.parts {
+			if p.PresentAt(c, t.epoch) {
+				kept = append(kept, c)
+			} else {
 				t.participants[c] = false
 			}
 		}
+		t.parts = kept
 	}
 }
 
@@ -746,34 +764,31 @@ func (t *Trainer) selectParticipants() {
 func (t *Trainer) chooseParticipants() {
 	k := len(t.clients)
 	if t.forced != nil {
-		for i := range t.participants {
-			t.participants[i] = false
-		}
-		n := 0
+		sel := make([]int, 0, len(t.forced))
 		for _, c := range t.forced {
 			if c >= 0 && c < k {
-				t.participants[c] = true
-				n++
+				sel = append(sel, c)
 			}
 		}
-		t.mCohort.Set(float64(n))
+		sort.Ints(sel)
+		t.markParticipants(sel)
+		t.mCohort.Set(float64(len(sel)))
 		return
 	}
 	if t.sampler != nil {
 		cohort := t.sampler.sample(t.round+t.cfg.RoundOffset, t.active)
-		for i := range t.participants {
-			t.participants[i] = false
-		}
-		for _, c := range cohort {
-			t.participants[c] = true
-		}
+		t.markParticipants(cohort)
 		t.mCohort.Set(float64(len(cohort)))
 		return
 	}
 	frac := t.cfg.ClientFraction
 	if frac <= 0 || frac >= 1 {
-		for i := range t.participants {
-			t.participants[i] = true
+		if len(t.parts) < k {
+			all := make([]int, k)
+			for c := range all {
+				all[c] = c
+			}
+			t.markParticipants(all)
 		}
 		return
 	}
@@ -781,12 +796,25 @@ func (t *Trainer) chooseParticipants() {
 	if n < 1 {
 		n = 1
 	}
-	perm := t.rng.Perm(k)
-	for i := range t.participants {
-		t.participants[i] = false
+	sel := t.rng.Perm(k)[:n]
+	sort.Ints(sel)
+	t.markParticipants(sel)
+}
+
+// markParticipants makes sel, sorted ascending, the round's participant
+// set: it clears the previous set from the mask, marks sel, and keeps it as
+// the participant list, deduplicated. The work is O(previous + new set).
+func (t *Trainer) markParticipants(sel []int) {
+	for _, c := range t.parts {
+		t.participants[c] = false
 	}
-	for _, i := range perm[:n] {
-		t.participants[i] = true
+	t.parts = t.parts[:0]
+	for i, c := range sel {
+		if i > 0 && c == sel[i-1] {
+			continue
+		}
+		t.participants[c] = true
+		t.parts = append(t.parts, c)
 	}
 }
 
@@ -799,6 +827,8 @@ func (t *Trainer) engaged(c int) bool { return t.active[c] && t.participants[c] 
 // also the hydration point: the round's cohort is materialized (recycling
 // retired replicas) and everyone else is dehydrated, so replicas — and
 // their effective-distribution bookkeeping — exist only while training.
+// Only a materialized replica can have left home, so resetting the outgoing
+// and incoming replicas' locations resets every location.
 func (t *Trainer) distribute() {
 	t.selectParticipants()
 	if t.lazy {
@@ -806,25 +836,24 @@ func (t *Trainer) distribute() {
 		// retired replicas land on the free list first, so rotation reuses
 		// them instead of allocating, and the hydrated count never
 		// transiently exceeds the cohort size.
-		for m := range t.models {
+		for _, m := range t.live {
+			t.loc[m] = m
 			if !t.participants[m] {
 				t.dehydrate(m)
 			}
 		}
+		t.live = append(t.live[:0], t.parts...)
 	}
 	maxT := 0.0
-	for m := range t.models {
-		if t.lazy && t.participants[m] {
+	for _, m := range t.live {
+		if t.lazy {
 			t.hydrate(m)
 		}
 		t.loc[m] = m
-		if t.models[m] == nil {
-			continue
-		}
 		t.models[m].CopyParamsFrom(t.global)
 		// A fresh global copy restarts the replica's virtual dataset
 		// (Eq. 12) from its home distribution.
-		t.effDist[m] = t.clients[m].Data.LabelDistribution()
+		t.effDist[m] = t.clientDist[m]
 		t.effSeen[m] = float64(t.clients[m].Data.Len())
 		if !t.engaged(m) {
 			continue
@@ -848,10 +877,8 @@ func (t *Trainer) aggregate() {
 	// round: with α < 1 (or a sampled cohort) only the selected clients'
 	// updates form the new global model (Sec. II-A).
 	n := 0.0
-	for m := range t.models {
-		if t.participants[m] {
-			n += float64(t.clients[m].Data.Len())
-		}
+	for _, m := range t.parts {
+		n += float64(t.clients[m].Data.Len())
 	}
 	if n == 0 {
 		t.round++
@@ -861,9 +888,10 @@ func (t *Trainer) aggregate() {
 	// mechanism consumes a shared RNG; the accountant is coordinator
 	// state); the weighted parameter sum itself is a deterministic tree
 	// reduction over the participant slots.
-	idx := make([]int, 0, len(t.models))
-	for m, model := range t.models {
-		if !t.participants[m] || model == nil {
+	idx := make([]int, 0, len(t.parts))
+	for _, m := range t.parts {
+		model := t.models[m]
+		if model == nil {
 			continue
 		}
 		if t.active[t.loc[m]] && t.cfg.Privacy.Enabled() {
@@ -1002,7 +1030,7 @@ func (t *Trainer) migrate(st *State) []int {
 // download over the C2S WAN.
 func (t *Trainer) swapAtServer() {
 	var idx []int
-	for m := range t.models {
+	for _, m := range t.live {
 		if t.engaged(t.loc[m]) {
 			idx = append(idx, m)
 		}
@@ -1035,7 +1063,8 @@ func (t *Trainer) swapAtServer() {
 // the un-hydrated replicas hold exactly the global parameters (they were
 // never trained this round), so the K-replica average collapses to the
 // cohort's replicas plus one global term carrying the residual weight —
-// O(cohort) work instead of O(K).
+// O(cohort) work instead of O(K), with the normalizer summed once at
+// construction. With every replica resident the average runs over all K.
 func (t *Trainer) evaluate() float64 {
 	if t.test == nil || t.test.Len() == 0 {
 		return 0
@@ -1045,17 +1074,16 @@ func (t *Trainer) evaluate() float64 {
 	if t.evalReplica == nil {
 		t.evalReplica = t.factory()
 	}
-	n := t.totalWeight()
+	n := t.totalN
 	var ms []*nn.Sequential
 	var ws []float64
 	if t.lazy {
+		ms = make([]*nn.Sequential, 0, len(t.live)+1)
+		ws = make([]float64, 0, len(t.live)+1)
 		resid := n
-		for m, model := range t.models {
-			if model == nil {
-				continue
-			}
+		for _, m := range t.live {
 			w := float64(t.clients[m].Data.Len())
-			ms = append(ms, model)
+			ms = append(ms, t.models[m])
 			ws = append(ws, w/n)
 			resid -= w
 		}

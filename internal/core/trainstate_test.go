@@ -22,7 +22,7 @@ func TestTrainStateCodecRoundTrip(t *testing.T) {
 	// non-trivial.
 	tr := &Trainer{cfg: Config{BatchSize: 8}.withDefaults()}
 	tr.cfg.BatchSize = 8
-	order := tr.epochBatchOrder(clients[0].Data, nil)
+	order := tr.epochBatchOrder(clients[0].Data, 0)
 	lossSum := tr.trainBatches(model, opt, clients[0].Data, nil, order[:2])
 
 	ts := CaptureTrainState(3, 5, 1234, order, 2, lossSum, model, opt)

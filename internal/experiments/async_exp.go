@@ -6,6 +6,7 @@ import (
 	fedmigr "fedmigr"
 	"fedmigr/internal/core"
 	"fedmigr/internal/data"
+	"fedmigr/internal/edgenet"
 	"fedmigr/internal/nn"
 	"fedmigr/internal/tensor"
 )
@@ -39,15 +40,20 @@ func (asyncExp) Run(p Params) (*Report, error) {
 		},
 	}
 	const k = 10
-	// Heterogeneous compute: half the clients are 4x slower.
-	cost := paperCost(p.Seed + 7)
-	cost.ComputeRate = make([]float64, k)
-	for i := range cost.ComputeRate {
-		if i%2 == 0 {
-			cost.ComputeRate[i] = cost.DefaultComputeRate
-		} else {
-			cost.ComputeRate[i] = cost.DefaultComputeRate / 4
+	// Heterogeneous compute: half the clients are 4x slower. Each run gets
+	// its own cost model from the same seed: a shared one would hand every
+	// run the jitter draws the runs before it left over.
+	hetCost := func() *edgenet.CostModel {
+		cost := paperCost(p.Seed + 7)
+		cost.ComputeRate = make([]float64, k)
+		for i := range cost.ComputeRate {
+			if i%2 == 0 {
+				cost.ComputeRate[i] = cost.DefaultComputeRate
+			} else {
+				cost.ComputeRate[i] = cost.DefaultComputeRate / 4
+			}
 		}
+		return cost
 	}
 
 	epochs := p.scaleInt(40, 10)
@@ -64,7 +70,7 @@ func (asyncExp) Run(p Params) (*Report, error) {
 		o.AggEvery = s.agg
 		o.Migrator = s.mig
 		o.Epochs = epochs
-		o.Cost = cost
+		o.Cost = hetCost()
 		res, err := fedmigr.Run(o)
 		if err != nil {
 			return nil, fmt.Errorf("async %s: %w", s.name, err)
@@ -97,7 +103,7 @@ func (asyncExp) Run(p Params) (*Report, error) {
 	}
 	at, err := core.NewAsyncTrainer(core.AsyncConfig{
 		MaxUpdates: epochs * k, EvalEvery: k, LR: 0.05, Seed: p.Seed,
-	}, clients, cost, test, factory)
+	}, clients, hetCost(), test, factory)
 	if err != nil {
 		return nil, fmt.Errorf("async trainer: %w", err)
 	}

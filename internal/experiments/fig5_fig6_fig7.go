@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	fedmigr "fedmigr"
@@ -103,27 +104,36 @@ func (fig6) Run(p Params) (*Report, error) {
 			state[i] = g.Float64()
 		}
 		inf := timeIt(func() { _ = agent.Act(state) })
-		ratio := float64(scop) / float64(inf)
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.3fms", float64(scop)/1e6),
-			fmt.Sprintf("%.3fms", float64(inf)/1e6),
-			fmt.Sprintf("%.1fx", ratio),
+			fmt.Sprintf("%.3fms", scop/1e6),
+			fmt.Sprintf("%.3fms", inf/1e6),
+			fmt.Sprintf("%.1fx", scop/inf),
 		})
 	}
 	return rep, nil
 }
 
-// timeIt returns the best-of-3 wall time of f in nanoseconds (min over
-// repeats damps scheduler noise on a busy single core).
-func timeIt(f func()) int64 {
-	best := int64(1<<62 - 1)
-	for r := 0; r < 3; r++ {
+// timeIt returns the wall time of one call of f in nanoseconds. Calls run
+// in batches long enough to last at least a millisecond, so neither the
+// clock's resolution nor one call's cold caches sets the figure, and the
+// best of three batches wins (min over repeats damps scheduler noise on a
+// busy core). Sizing the batch also warms f up.
+func timeIt(f func()) float64 {
+	batch := func(n int) time.Duration {
 		start := time.Now()
-		f()
-		if d := time.Since(start).Nanoseconds(); d < best {
-			best = d
+		for range n {
+			f()
 		}
+		return time.Since(start)
+	}
+	n := 1
+	for batch(n) < time.Millisecond {
+		n *= 2
+	}
+	best := math.Inf(1)
+	for range 3 {
+		best = min(best, float64(batch(n).Nanoseconds())/float64(n))
 	}
 	return best
 }

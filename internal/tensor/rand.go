@@ -32,6 +32,26 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
+// PermPrefix returns the first w entries of Perm(n) in O(w) memory. It
+// makes exactly Perm's n Intn calls, so the stream ends where Perm's would,
+// but tracks only positions below w: Perm's step i moves m[j] to m[i] and
+// writes i at m[j], and neither write reaches a position below w unless its
+// index is below w.
+func (g *RNG) PermPrefix(n, w int) []int {
+	w = min(w, n)
+	m := make([]int, w)
+	for i := 0; i < n; i++ {
+		j := g.r.Intn(i + 1)
+		if i < w {
+			m[i] = m[j]
+			m[j] = i
+		} else if j < w {
+			m[j] = i
+		}
+	}
+	return m
+}
+
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

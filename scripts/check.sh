@@ -63,9 +63,10 @@ go test -race -timeout 30m ./...
 # for bit — the branch-free max-pool select and ReLU, the backward that
 # stops at the lowest parameterised layer, Conv2D.InputGrad, Adam,
 # TrainStep, PER sampling, the input-only critic probe, the simplex
-# projection, the streaming aggregation sum, the assignment solver — and a
-# warmed TrainStep must allocate nothing.
-go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|TestGoldenSessionHash|MatchesReference|InputGrad|TestTrainStepAllocations|TestFrameAllocs|TestAppendParamsReusesBuffer' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core ./internal/fednet .
+# projection, the streaming aggregation sum, the assignment solver, the
+# cohort sampler — and a warmed TrainStep must allocate nothing. A cohort
+# round must allocate as much at 100 000 clients as at 2 000 (O(cohort)).
+go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|TestGoldenSessionHash|MatchesReference|InputGrad|TestTrainStepAllocations|TestFrameAllocs|TestAppendParamsReusesBuffer|TestCohortRoundAllocsIndependentOfK' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core ./internal/fednet .
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
 # post-GC heap ceiling (256 MB) and that peak hydrated replicas equal the
