@@ -1,9 +1,14 @@
 // Package agg is the streaming weighted-sum reducer at the heart of the
-// hierarchical aggregation path (DESIGN.md §9). An Accumulator folds each
+// hierarchical aggregation path (DESIGN.md §5b). An Accumulator folds each
 // model upload into running partial sums the moment it arrives, so neither
 // the simulator, the cloud server, nor an edge aggregator ever buffers
 // O(clients) parameter vectors — live scratch is bounded by the unmerged
 // frontier of a fixed reduction tree (O(log slots) for in-order arrival).
+//
+// Each upload is read once: AddParams reads a model's parameter tensors in
+// place, and a leaf whose sibling subtree is complete is scaled as it is
+// added into the sibling's buffer; only a leaf that must wait is written,
+// scaled, into scratch of its own.
 //
 // Determinism contract: the reduction tree has a fixed shape determined
 // only by the slot count — the pairwise tree that adds terms[i+span] into
@@ -55,6 +60,7 @@ type Accumulator struct {
 	arrived    []bool
 	resident   []*node // complete subtrees, sorted by start
 	count      int
+	parts      [][]float64 // the upload being folded, staged by fold's callers
 
 	live, peakLive int // scratch buffers currently/maximally held
 }
@@ -105,47 +111,154 @@ func (a *Accumulator) Arrived(slot int) bool {
 func (a *Accumulator) Live() int     { return a.live }
 func (a *Accumulator) PeakLive() int { return a.peakLive }
 
-// Leaf returns a zeroed scratch vector for the caller to fill in place
-// (e.g. nn.ParamVectorInto) before handing it to AddLeaf. Using Leaf +
-// AddLeaf avoids one copy versus Add.
-func (a *Accumulator) Leaf() *tensor.Tensor { return tensor.GetScratch(a.dim) }
+// Leaf returns an unzeroed scratch vector for the caller to fill
+// completely in place (e.g. nn.UnmarshalParamsInto) before handing it to
+// AddLeaf.
+func (a *Accumulator) Leaf() *tensor.Tensor { return tensor.GetScratchUninit(a.dim) }
+
+// AddParams folds one model at the given slot with the given weight. params
+// are the model's parameter tensors in order (nn.Sequential.Params), read
+// in place as one vector of Dim elements: nothing is copied, and each
+// element is read once (see leaf).
+func (a *Accumulator) AddParams(slot int, params []*tensor.Tensor, weight float64) error {
+	for _, p := range params {
+		a.parts = append(a.parts, p.Data())
+	}
+	return a.fold(slot, weight, nil)
+}
 
 // AddLeaf folds a filled Leaf buffer at the given slot with the given
 // weight, taking ownership of v in all cases (it is released on error).
-// The vector is scaled by weight and sifted up the tree exactly as the
-// pairwise tree scales and merges terms[slot].
+// v is scaled in place only when it parks; folded into a waiting sibling,
+// it is scaled as it is added and released.
 func (a *Accumulator) AddLeaf(slot int, v *tensor.Tensor, weight float64) error {
-	if v == nil || len(v.Data()) != a.dim {
-		if v != nil {
-			tensor.PutScratch(v)
+	if v == nil {
+		return fmt.Errorf("agg: leaf dim 0, want %d", a.dim)
+	}
+	a.parts = append(a.parts, v.Data())
+	return a.fold(slot, weight, v)
+}
+
+// Add folds data at slot, reading the caller's slice in place. It is the
+// convenience path for callers that decoded a vector off the wire.
+func (a *Accumulator) Add(slot int, data []float64, weight float64) error {
+	a.parts = append(a.parts, data)
+	return a.fold(slot, weight, nil)
+}
+
+// fold runs leaf over the upload staged in a.parts and unstages it.
+func (a *Accumulator) fold(slot int, weight float64, own *tensor.Tensor) error {
+	err := a.leaf(slot, weight, own)
+	clear(a.parts)
+	a.parts = a.parts[:0]
+	return err
+}
+
+// leaf folds the upload staged in a.parts (the concatenation of its
+// pieces, times weight) at slot, in one pass over the upload. A leaf whose
+// sibling subtree is already complete is added straight into the
+// sibling's buffer, scaling as it goes; any other leaf parks as its own
+// scaled buffer (own, scaled in place, when the caller handed one over;
+// otherwise unzeroed scratch, written scaled). Either way each element
+// gets the pairwise tree's arithmetic: the product x·w is rounded on its
+// own and enters the sum on the same side, so every bit is kept. own,
+// when non-nil, is consumed.
+func (a *Accumulator) leaf(slot int, weight float64, own *tensor.Tensor) error {
+	n := 0
+	for _, x := range a.parts {
+		n += len(x)
+	}
+	var err error
+	switch {
+	case n != a.dim:
+		err = fmt.Errorf("agg: upload dim %d, want %d", n, a.dim)
+	case slot < 0 || slot >= a.slots:
+		err = fmt.Errorf("agg: slot %d out of range [0,%d)", slot, a.slots)
+	case a.arrived[slot]:
+		err = fmt.Errorf("agg: duplicate upload for slot %d", slot)
+	}
+	if err != nil {
+		if own != nil {
+			tensor.PutScratch(own)
 		}
-		return fmt.Errorf("agg: leaf dim %d, want %d", dimOf(v), a.dim)
-	}
-	if slot < 0 || slot >= a.slots {
-		tensor.PutScratch(v)
-		return fmt.Errorf("agg: slot %d out of range [0,%d)", slot, a.slots)
-	}
-	if a.arrived[slot] {
-		tensor.PutScratch(v)
-		return fmt.Errorf("agg: duplicate upload for slot %d", slot)
+		return err
 	}
 	a.arrived[slot] = true
 	a.count++
-	v.ScaleInPlace(weight)
-	a.hold(1)
-	a.sift(&node{start: slot, level: 0, count: 1, weight: weight, vec: v})
+	// Climb past partners beyond the last slot (sift's promote rule), then
+	// look for the complete sibling sift would merge with.
+	level := 0
+	for slot != 0 && slot%(2<<level) == 0 && slot+1<<level >= a.slots {
+		level++
+	}
+	span := 1 << level
+	var sib *node
+	if slot%(span<<1) != 0 {
+		sib = a.take(slot-span, level)
+	} else if slot+span < a.slots {
+		sib = a.take(slot+span, level)
+	}
+	if sib == nil { // park
+		v := own
+		if v != nil {
+			v.ScaleInPlace(weight)
+		} else {
+			v = tensor.GetScratchUninit(a.dim)
+			a.each(v.Data(), weight, scaleInto)
+		}
+		a.hold(1)
+		a.put(&node{start: slot, level: level, count: 1, weight: weight, vec: v})
+		return nil
+	}
+	if sib.start < slot { // right leaf: left += x·w
+		a.each(sib.vec.Data(), weight, addScaled)
+		sib.weight += weight
+	} else { // left leaf: x·w + right
+		a.each(sib.vec.Data(), weight, scaledAdd)
+		sib.start = slot
+		sib.weight = weight + sib.weight
+	}
+	sib.count++
+	sib.level++
+	if own != nil {
+		tensor.PutScratch(own)
+	}
+	a.sift(sib)
 	return nil
 }
 
-// Add copies data into arena scratch and folds it at slot. It is the
-// convenience path for callers that decoded a vector off the wire.
-func (a *Accumulator) Add(slot int, data []float64, weight float64) error {
-	if len(data) != a.dim {
-		return fmt.Errorf("agg: upload dim %d, want %d", len(data), a.dim)
+// each applies op to consecutive spans of dst and the staged pieces.
+func (a *Accumulator) each(dst []float64, w float64, op func(dst, x []float64, w float64)) {
+	off := 0
+	for _, x := range a.parts {
+		op(dst[off:off+len(x)], x, w)
+		off += len(x)
 	}
-	v := tensor.GetScratch(a.dim)
-	copy(v.Data(), data)
-	return a.AddLeaf(slot, v, weight)
+}
+
+// scaleInto writes dst[i] = x[i]·w. Every product is rounded explicitly
+// (float64(...)) so no GOARCH fuses it into the next add (DESIGN.md §5).
+func scaleInto(dst, x []float64, w float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = float64(v * w)
+	}
+}
+
+// addScaled adds x[i]·w into dst[i], dst the left operand.
+func addScaled(dst, x []float64, w float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] += float64(v * w)
+	}
+}
+
+// scaledAdd writes dst[i] = x[i]·w + dst[i], the product the left operand.
+func scaledAdd(dst, x []float64, w float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = float64(v*w) + dst[i]
+	}
 }
 
 // Fold ingests a partial sum produced by a child accumulator's Drain:

@@ -1,9 +1,11 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"fedmigr/internal/nn"
 	"fedmigr/internal/tensor"
 )
 
@@ -313,4 +315,223 @@ func TestNodeCountMatchesDrain(t *testing.T) {
 			Release(nd)
 		}
 	}
+}
+
+// refAddLeaf is AddLeaf as it was before the one-pass fold: a leaf is
+// scaled in its own pass, then sift merges it into its siblings. With
+// Leaf and nn.ParamVectorInto in front of it, it is the reference the
+// one-pass fold is held to.
+func refAddLeaf(a *Accumulator, slot int, v *tensor.Tensor, weight float64) {
+	if a.arrived[slot] {
+		panic("refAddLeaf: duplicate slot")
+	}
+	a.arrived[slot] = true
+	a.count++
+	v.ScaleInPlace(weight)
+	a.hold(1)
+	a.sift(&node{start: slot, level: 0, count: 1, weight: weight, vec: v})
+}
+
+// specials are planted in parameters: both NaN signs, both zeros, both
+// infinities, subnormals and the largest finite values.
+var specials = []float64{
+	math.NaN(), math.Float64frombits(0xfff8000000000001), 0, math.Copysign(0, -1),
+	math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1040, math.MaxFloat64, -math.MaxFloat64,
+}
+
+// foldWeights cycles through the weights the fold must scale by exactly:
+// zero, one, negative, subnormal and ordinary ones.
+var foldWeights = []float64{0.3, 1, -0.75, 0, math.SmallestNonzeroFloat64, 2.5, -0x1p-1050}
+
+// foldModels builds n small MLPs; every third one carries the specials at
+// every other position, shifted by one per carrier, so specials meet
+// ordinary values and each other (NaN and −NaN, +Inf and −Inf) in the sums.
+func foldModels(n int) []*nn.Sequential {
+	ms := make([]*nn.Sequential, n)
+	for i := range ms {
+		ms[i] = nn.NewMLP(tensor.NewRNG(int64(300+i)), 4, 5, 3)
+		if i%3 != 0 {
+			continue
+		}
+		v := ms[i].ParamVector()
+		for k, sp := range specials {
+			v.Data()[(2*k+i/3)%v.Size()] = sp
+		}
+		ms[i].SetParamVector(v)
+	}
+	return ms
+}
+
+// refFold folds the models in order through Leaf, ParamVectorInto and
+// refAddLeaf, and returns the weight and the finished sum.
+func refFold(ms []*nn.Sequential, order []int) (float64, []float64) {
+	a := New(len(ms), ms[0].NumParams())
+	for _, s := range order {
+		leaf := a.Leaf()
+		ms[s].ParamVectorInto(leaf)
+		refAddLeaf(a, s, leaf, foldWeights[s%len(foldWeights)])
+	}
+	w := a.Weight()
+	out := a.Finish(1)
+	sum := append([]float64(nil), out.Data()...)
+	tensor.PutScratch(out)
+	return w, sum
+}
+
+// foldVia folds model s into a through one of the three entry points:
+// AddParams (in place), AddLeaf (a filled Leaf) or Add (a caller slice).
+func foldVia(t *testing.T, a *Accumulator, ms []*nn.Sequential, s, via int) {
+	t.Helper()
+	w := foldWeights[s%len(foldWeights)]
+	var err error
+	switch via % 3 {
+	case 0:
+		ps, _ := ms[s].Params()
+		err = a.AddParams(s, ps, w)
+	case 1:
+		leaf := a.Leaf()
+		ms[s].ParamVectorInto(leaf)
+		err = a.AddLeaf(s, leaf, w)
+	default:
+		err = a.Add(s, ms[s].ParamVector().Data(), w)
+	}
+	if err != nil {
+		t.Fatalf("fold slot %d via %d: %v", s, via%3, err)
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int(nil), p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestOnePassFoldMatchesReference holds the one-pass fold (AddParams, and
+// AddLeaf and Add, which share it) to the scale-then-sift reference bit
+// for bit: slot counts 1–17, every arrival order up to 5 slots and seeded
+// shuffles above, full and half arrivals, weights 0, 1, negative and
+// subnormal, specials planted in the parameters, each entry point alone
+// and mixed, and the same slots grouped onto child accumulators whose
+// drained nodes FoldNode into a root.
+func TestOnePassFoldMatchesReference(t *testing.T) {
+	rng := splitmix(54)
+	for n := 1; n <= 17; n++ {
+		ms := foldModels(n)
+		var orders [][]int
+		if n <= 5 {
+			orders = permutations(n)
+		} else {
+			for i := 0; i < 8; i++ {
+				orders = append(orders, rng.perm(n))
+			}
+		}
+		for oi, order := range orders {
+			for _, k := range []int{(n + 1) / 2, n} {
+				arrived := order[:k]
+				wantW, want := refFold(ms, arrived)
+				for via := 0; via < 4; via++ { // 0–2: one entry point; 3: mixed
+					a := New(n, ms[0].NumParams())
+					for i, s := range arrived {
+						v := via
+						if via == 3 {
+							v = i
+						}
+						foldVia(t, a, ms, s, v)
+					}
+					if w := a.Weight(); math.Float64bits(w) != math.Float64bits(wantW) {
+						t.Fatalf("n=%d order %v[:%d] via %d: weight %v, reference %v", n, order, k, via, w, wantW)
+					}
+					requireSameBits(t, fmt.Sprintf("n=%d order %v[:%d] via %d", n, order, k, via), finishBits(t, a, 1), want)
+				}
+				for _, groups := range []int{2, 3} {
+					root := New(n, ms[0].NumParams())
+					for g := 0; g < groups; g++ {
+						child := New(n, ms[0].NumParams())
+						for i, s := range arrived {
+							if s%groups == g {
+								foldVia(t, child, ms, s, i)
+							}
+						}
+						for _, nd := range child.Drain() {
+							if err := root.FoldNode(nd); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if root.Count() == 0 {
+						continue
+					}
+					requireSameBits(t, fmt.Sprintf("n=%d order %d[:%d] groups %d", n, oi, k, groups), finishBits(t, root, 1), want)
+				}
+			}
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestOnePassFoldReleasesLeaves: a leaf folded straight into its sibling
+// holds no buffer of its own, so in-order arrival through AddParams needs
+// no more live buffers than the reference, and AddLeaf's fused path and
+// its error paths give every leaf buffer back.
+func TestOnePassFoldReleasesLeaves(t *testing.T) {
+	ms := foldModels(16)
+	dim := ms[0].NumParams()
+	ref := New(16, dim)
+	a := New(16, dim)
+	for s := range ms {
+		leaf := ref.Leaf()
+		ms[s].ParamVectorInto(leaf)
+		refAddLeaf(ref, s, leaf, 1)
+		foldVia(t, a, ms, s, 0)
+	}
+	if a.PeakLive() > ref.PeakLive() {
+		t.Fatalf("one-pass fold peaked at %d live buffers, reference %d", a.PeakLive(), ref.PeakLive())
+	}
+	tensor.PutScratch(ref.Finish(1))
+	tensor.PutScratch(a.Finish(1))
+	b := New(4, dim)
+	if err := b.AddLeaf(1, b.Leaf(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddLeaf(0, b.Leaf(), 1); err != nil { // fuses into slot 1's buffer
+		t.Fatal(err)
+	}
+	if b.Live() != 1 {
+		t.Fatalf("after a fused AddLeaf the accumulator holds %d buffers, want 1", b.Live())
+	}
+	if err := b.AddLeaf(0, b.Leaf(), 1); err == nil {
+		t.Fatal("duplicate AddLeaf accepted")
+	}
+	if err := b.AddLeaf(2, tensor.GetScratch(dim+1), 1); err == nil {
+		t.Fatal("wrong-dim AddLeaf accepted")
+	}
+	if err := b.AddLeaf(2, nil, 1); err == nil {
+		t.Fatal("nil AddLeaf accepted")
+	}
+	ps, _ := ms[0].Params()
+	if err := b.AddParams(2, ps[1:], 1); err == nil {
+		t.Fatal("short AddParams accepted")
+	}
+	if b.Count() != 2 || b.Arrived(2) {
+		t.Fatalf("rejected uploads changed the accumulator: count %d", b.Count())
+	}
+	tensor.PutScratch(b.Finish(1))
 }

@@ -250,7 +250,6 @@ func trainEpochSGD(model *nn.Sequential, opt *nn.SGD, ds *data.Dataset, batch in
 		}
 		x := model.Input(hi-lo, c, h, w)
 		y := ds.BatchInto(x.Data(), lo, hi)
-		model.ZeroGrad()
 		out := model.Forward(x, true)
 		loss, grad := model.CrossEntropy(out, y)
 		model.Backward(grad)

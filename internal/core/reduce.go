@@ -7,10 +7,10 @@ import (
 )
 
 // streamingParamSum computes Σᵢ ws[i]·ParamVector(ms[i]) through the
-// streaming accumulator: each model folds at its slot index the moment its
-// leaf is materialized, so live scratch is bounded by the reduction
-// frontier (O(log n) for the in-order fold here) instead of every leaf at
-// once. The tree's shape depends only on len(ms), never on the worker
+// streaming accumulator: each model folds at its slot index straight from
+// its parameter tensors (agg.AddParams: one read, no leaf copy), so live
+// scratch is bounded by the reduction frontier (O(log n) for the in-order
+// fold here) instead of every leaf at once. The tree's shape depends only on len(ms), never on the worker
 // count, so the float64 result is identical for serial and parallel runs —
 // the determinism contract aggregation and evaluation rely on (DESIGN.md
 // §5).
@@ -28,9 +28,8 @@ func streamingParamSum(ms []*nn.Sequential, ws []float64, groupSlots [][]int) (*
 	dim := ms[0].NumParams()
 	root := agg.New(len(ms), dim)
 	fold := func(a *agg.Accumulator, slot int) {
-		leaf := a.Leaf()
-		ms[slot].ParamVectorInto(leaf)
-		if err := a.AddLeaf(slot, leaf, ws[slot]); err != nil {
+		ps, _ := ms[slot].Params()
+		if err := a.AddParams(slot, ps, ws[slot]); err != nil {
 			panic(err) // slots are coordinator-assigned and unique
 		}
 	}

@@ -41,9 +41,27 @@ func referenceParamSum(pool *sched.Pool, ms []*nn.Sequential, ws []float64) *ten
 	return terms[0]
 }
 
+// plantSpecials writes both NaN signs, both zeros, both infinities,
+// subnormals and the largest finite values into every other parameter
+// from position shift on, so specials meet ordinary values and each other
+// in a sum whose models shift them by one each.
+func plantSpecials(m *nn.Sequential, shift int) {
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1040, math.MaxFloat64, -math.MaxFloat64,
+	}
+	v := m.ParamVector()
+	for k, sp := range specials {
+		v.Data()[(2*k+shift)%v.Size()] = sp
+	}
+	m.SetParamVector(v)
+}
+
 // TestStreamingParamSumMatchesReference holds streamingParamSum to the
 // buffered reference bit for bit over real models: every slot count from 1
-// to 17 (powers of two and not), unequal weights, the flat fold and the
+// to 17 (powers of two and not), unequal weights, specials planted in
+// every third model (plantSpecials), the flat fold and the
 // edge-aggregator groupings G ∈ {1, 4, 16} the trainer builds with
 // Topology.AggregatorGroup. Models sit on scattered hosts, as after a
 // migration, so a group's slots need not be contiguous.
@@ -56,6 +74,9 @@ func TestStreamingParamSumMatchesReference(t *testing.T) {
 		total := 0.0
 		for i := range ms {
 			ms[i] = nn.NewMLP(tensor.NewRNG(int64(100+i)), 16, 24, 5)
+			if i%3 == 0 {
+				plantSpecials(ms[i], i/3)
+			}
 			ws[i] = float64(1 + (i*5)%7)
 			total += ws[i]
 		}

@@ -606,7 +606,7 @@ func (t *Trainer) epochBatchOrder(ds *data.Dataset, seed int64) []int {
 // core of trainOneEpoch. A mid-epoch migration captures the cursor into
 // this order; the receiving node finishes the remainder through this same
 // function, so an interrupted epoch is bit-identical to an uninterrupted
-// one.
+// one. No batch clears the gradients: nn.SGD.Step leaves them +0.
 func (t *Trainer) trainBatches(model *nn.Sequential, opt *nn.SGD, ds *data.Dataset, globalVec *tensor.Tensor, order []int) float64 {
 	b := t.cfg.BatchSize
 	c, h, w := ds.Spec()
@@ -619,7 +619,6 @@ func (t *Trainer) trainBatches(model *nn.Sequential, opt *nn.SGD, ds *data.Datas
 		}
 		x := model.Input(hi-lo, c, h, w)
 		y := ds.BatchInto(x.Data(), lo, hi)
-		model.ZeroGrad()
 		out := model.Forward(x, true)
 		loss, grad := model.CrossEntropy(out, y)
 		model.Backward(grad)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -300,4 +301,77 @@ func FuzzUnmarshalTrainState(f *testing.F) {
 			t.Fatalf("accepted blob does not re-marshal to itself (%v)", err)
 		}
 	})
+}
+
+// requireZeroGrads fails unless every gradient of m is +0.
+func requireZeroGrads(t *testing.T, what string, m *nn.Sequential) {
+	t.Helper()
+	_, gs := m.Params()
+	for i, g := range gs {
+		for j, v := range g.Data() {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: gradient %d[%d] = %v, want +0", what, i, j, v)
+			}
+		}
+	}
+}
+
+// TestReplicaGradientsZero pins, on the core side, the invariant that lets
+// trainBatches skip ZeroGrad (nn.SGD.Step): gradients are +0 on a replica
+// after its batches, after TrainState.Restore onto a fresh replica, and on
+// a cohort replica recycled through dehydrate and hydrate.
+func TestReplicaGradientsZero(t *testing.T) {
+	clients, topo, test, factory := buildSetup(t, 8, 2, false, 43)
+	model, opt := factory(), nn.NewSGDMomentum(0.05, 0.7)
+	tr := &Trainer{cfg: Config{BatchSize: 8}.withDefaults()}
+	order := tr.epochBatchOrder(clients[0].Data, 0)
+	lossSum := tr.trainBatches(model, opt, clients[0].Data, nil, order[:2])
+	requireZeroGrads(t, "after trainBatches", model)
+	blob, err := CaptureTrainState(0, 1, 7, order, 2, lossSum, model, opt).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := UnmarshalTrainState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := factory()
+	if err := ts.Restore(fresh, nn.NewSGD(0)); err != nil {
+		t.Fatal(err)
+	}
+	requireZeroGrads(t, "after TrainState.Restore", fresh)
+
+	cfg := Config{Scheme: FedAvg, MaxEpochs: 100, AggEvery: 1, BatchSize: 8, Seed: 43, CohortSize: 3}
+	cohort, err := NewTrainer(cfg, clients, topo, nil, test, factory, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		cohort.RunRound(nil)
+		for m, rep := range cohort.models {
+			if rep != nil {
+				requireZeroGrads(t, fmt.Sprintf("round %d: hydrated replica %d", r, m), rep)
+			}
+		}
+	}
+	// Retire one trained replica and hydrate a client outside the cohort:
+	// the free list hands it that very replica.
+	out, in := -1, -1
+	for m, rep := range cohort.models {
+		if rep != nil && out < 0 {
+			out = m
+		} else if rep == nil && in < 0 {
+			in = m
+		}
+	}
+	if out < 0 || in < 0 {
+		t.Fatalf("cohort of 3 in 8 clients: no hydrated (%d) or idle (%d) client", out, in)
+	}
+	rep := cohort.models[out]
+	cohort.dehydrate(out)
+	cohort.hydrate(in)
+	if cohort.models[in] != rep {
+		t.Fatal("hydrate did not recycle the dehydrated replica")
+	}
+	requireZeroGrads(t, "recycled replica", rep)
 }

@@ -70,10 +70,18 @@ func (abl) Run(p Params) (*Report, error) {
 	drlVariant := func(name string, cfg drl.MigratorConfig) error {
 		cfg.K = base().Clients
 		agent := drl.NewMigrator(cfg)
-		pre := base()
-		pre.Migrator = fedmigr.MigratorDRL
-		if err := fedmigr.Pretrain(agent, pre, 8, p.scaleInt(30, 10)); err != nil {
-			return fmt.Errorf("abl pretrain %s: %w", name, err)
+		// One Pretrain episode at a time, each on its own cost model
+		// built from the same seed: a shared one would let every
+		// episode's transfers shift the next one's jitter draws. Pretrain
+		// seeds episode 0 of a call Seed+1000, so offsetting Seed by ep
+		// keeps the episode seeds of one 8-episode call.
+		for ep := 0; ep < 8; ep++ {
+			pre := base()
+			pre.Migrator = fedmigr.MigratorDRL
+			pre.Seed += int64(ep)
+			if err := fedmigr.Pretrain(agent, pre, 1, p.scaleInt(30, 10)); err != nil {
+				return fmt.Errorf("abl pretrain %s: %w", name, err)
+			}
 		}
 		agent.Frozen = true
 		sim, err := fedmigr.NewWithMigrator(base(), agent)

@@ -542,13 +542,13 @@ func (c *Client) resumeBatches(model *nn.Sequential, opt *nn.SGD, order []int) {
 }
 
 // trainBatch runs one mini-batch SGD step over samples [lo, hi) of the
-// client's shard, through the model's own batch and gradient buffers, and
-// returns the batch loss.
+// client's shard, through the model's own batch and gradient buffers (the
+// gradients are +0 between steps, see nn.SGD.Step), and returns the batch
+// loss.
 func (c *Client) trainBatch(model *nn.Sequential, opt *nn.SGD, lo, hi int) float64 {
 	ch, h, w := c.dataset.Spec()
 	x := model.Input(hi-lo, ch, h, w)
 	y := c.dataset.BatchInto(x.Data(), lo, hi)
-	model.ZeroGrad()
 	loss, grad := model.CrossEntropy(model.Forward(x, true), y)
 	model.Backward(grad)
 	opt.Step(model)

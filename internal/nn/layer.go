@@ -27,6 +27,12 @@ import (
 // runs instead of Backward on a model's lowest parameterised layer. Dense,
 // Conv2D and, for InputGrad, Residual do.
 //
+// Gradient accumulators hold +0 between optimizer steps: a layer
+// allocates them zeroed, Backward adds into them, and SGD.Step and
+// Adam.Step clear each one as they consume it. Training loops rely on it
+// and call no ZeroGrad, so a layer must never leave an accumulator nonzero
+// outside a Backward → Step pair.
+//
 // Ownership: every layer owns its outputs. A tensor returned by Forward or
 // Backward lives in a buffer of that layer — grown only when a batch needs
 // more capacity than it has, so a steady-state step allocates nothing — and

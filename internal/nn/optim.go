@@ -28,25 +28,26 @@ func NewSGDMomentum(lr, momentum float64) *SGD {
 }
 
 // Step applies one update to the model's parameters from its accumulated
-// gradients, then clears the gradients.
+// gradients and clears the gradients, in one pass over each (parameter,
+// gradient) pair (tensor.SGDStep).
+//
+// Gradients are +0 between optimizer steps: NewSequential's layers start
+// them at +0, Backward adds into them, and Step (like Adam's) leaves every
+// one +0 again. Training loops therefore run Forward, Backward, Step with
+// no ZeroGrad; a caller that runs Backward without a Step must clear the
+// gradients itself. TestGradientsZeroBetweenSteps pins the invariant.
 func (s *SGD) Step(m *Sequential) {
 	ps, gs := m.Params()
 	for i, p := range ps {
-		g := gs[i]
-		if s.WeightDecay != 0 {
-			g.AddScaledInPlace(p, s.WeightDecay)
-		}
-		step := g
+		var v *tensor.Tensor
 		if s.Momentum != 0 {
-			v, ok := s.vel[p]
-			if !ok {
+			var ok bool
+			if v, ok = s.vel[p]; !ok {
 				v = tensor.New(p.Shape()...)
 				s.vel[p] = v
 			}
-			step = v.ScaleInPlace(s.Momentum).AddInPlace(g)
 		}
-		p.AddScaledInPlace(step, -s.LR)
-		g.Zero()
+		tensor.SGDStep(p, gs[i], v, s.LR, s.Momentum, s.WeightDecay)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,6 +37,91 @@ func refAdamStep(a *Adam, m *Sequential) {
 			pd[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
 		g.Zero()
+	}
+}
+
+// refSGDStep is SGD.Step as it was before its passes were fused, kept
+// verbatim: decay, momentum and the update as separate tensor passes per
+// parameter, then the gradient's clear. TestSGDStepMatchesReference holds
+// the one-pass Step to it.
+func refSGDStep(s *SGD, m *Sequential) {
+	ps, gs := m.Params()
+	for i, p := range ps {
+		g := gs[i]
+		if s.WeightDecay != 0 {
+			g.AddScaledInPlace(p, s.WeightDecay)
+		}
+		step := g
+		if s.Momentum != 0 {
+			v, ok := s.vel[p]
+			if !ok {
+				v = tensor.New(p.Shape()...)
+				s.vel[p] = v
+			}
+			step = v.ScaleInPlace(s.Momentum).AddInPlace(g)
+		}
+		p.AddScaledInPlace(step, -s.LR)
+		g.Zero()
+	}
+}
+
+// TestSGDStepMatchesReference runs the one-pass Step beside the two-pass
+// reference on identical networks for momentum ∈ {0, 0.9} × weight decay ∈
+// {0, 1e-4}, six steps each, with specials (both NaN signs, both zeros,
+// both infinities, subnormals, ±MaxFloat64) planted in the parameters and
+// in every step's gradients: parameters and velocities must agree bit for
+// bit after every step, and every gradient must be +0.
+func TestSGDStepMatchesReference(t *testing.T) {
+	sp := specialFloats()
+	sp = append(sp, 0x1p-1040, -0x1p-1060)
+	for _, momentum := range []float64{0, 0.9} {
+		for _, decay := range []float64{0, 1e-4} {
+			newNet := func() *Sequential {
+				m := NewMLP(tensor.NewRNG(21), 10, 16, 4)
+				v := m.ParamVector()
+				for k, x := range sp {
+					v.Data()[3*k] = x
+				}
+				m.SetParamVector(v)
+				return m
+			}
+			got, want := newNet(), newNet()
+			opt, ref := NewSGDMomentum(0.05, momentum), NewSGDMomentum(0.05, momentum)
+			opt.WeightDecay, ref.WeightDecay = decay, decay
+			gp, gg := got.Params()
+			wp, wg := want.Params()
+			sched := tensor.NewRNG(22)
+			for s := 0; s < 6; s++ {
+				n := 0
+				for i, g := range gg {
+					for j := range g.Data() {
+						v := sched.NormFloat64() * 0.1
+						if n%11 == s {
+							v = sp[(n/11+s)%len(sp)]
+						}
+						g.Data()[j], wg[i].Data()[j] = v, v
+						n++
+					}
+				}
+				opt.Step(got)
+				refSGDStep(ref, want)
+				what := fmt.Sprintf("momentum %v decay %v step %d", momentum, decay, s)
+				for i, p := range gp {
+					requireBits(t, what+" parameter", p.Data(), wp[i].Data())
+					if momentum != 0 {
+						requireBits(t, what+" velocity", opt.vel[p].Data(), ref.vel[wp[i]].Data())
+					}
+					for j, v := range gg[i].Data() {
+						if math.Float64bits(v) != 0 {
+							t.Fatalf("%s: gradient %d[%d] = %v after Step, want +0", what, i, j, v)
+						}
+					}
+				}
+				if momentum == 0 && len(opt.vel) != 0 {
+					t.Fatalf("%s: a momentum-free Step made %d velocity buffers", what, len(opt.vel))
+				}
+			}
+		}
 	}
 }
 

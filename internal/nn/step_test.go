@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -169,5 +170,60 @@ func TestSequentialParamsListsAreBuiltOnce(t *testing.T) {
 	m.Layers = append(m.Layers, NewDense(tensor.NewRNG(1), 10, 3))
 	if ps3, _ := m.Params(); len(ps3) != len(ps)+2 {
 		t.Fatalf("Params did not pick up an appended layer: %d → %d", len(ps), len(ps3))
+	}
+}
+
+// requireZeroGrads fails unless every gradient of m is +0.
+func requireZeroGrads(t *testing.T, what string, m *Sequential) {
+	t.Helper()
+	_, gs := m.Params()
+	for i, g := range gs {
+		for j, v := range g.Data() {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: gradient %d[%d] = %v, want +0", what, i, j, v)
+			}
+		}
+	}
+}
+
+// TestGradientsZeroBetweenSteps pins the invariant training loops rely on
+// instead of a ZeroGrad per batch: a new model's gradients are +0, and so
+// is every gradient after SGD.Step (with momentum and decay), though
+// Backward filled them. A loop without ZeroGrad gives a loop with it the
+// same bits.
+func TestGradientsZeroBetweenSteps(t *testing.T) {
+	for name, build := range stepModels() {
+		got, want := build(), build()
+		requireZeroGrads(t, name+" after NewSequential", got)
+		opt, ref := NewSGDMomentum(0.05, 0.9), NewSGDMomentum(0.05, 0.9)
+		opt.WeightDecay, ref.WeightDecay = 1e-4, 1e-4
+		for s := 0; s < 3; s++ {
+			src, y := fillBatch(build(), 8, int64(s))
+			for _, m := range []*Sequential{got, want} {
+				x := m.Input(src.Shape()...)
+				copy(x.Data(), src.Data())
+				if m == want {
+					m.ZeroGrad()
+				}
+				_, grad := m.CrossEntropy(m.Forward(x, true), y)
+				m.Backward(grad)
+			}
+			_, gs := got.Params()
+			if gs[len(gs)-1].Norm2() == 0 {
+				t.Fatalf("%s step %d: Backward left the last gradient zero", name, s)
+			}
+			opt.Step(got)
+			ref.Step(want)
+			requireZeroGrads(t, fmt.Sprintf("%s after SGD.Step %d", name, s), got)
+		}
+		gp, _ := got.Params()
+		wp, _ := want.Params()
+		for i, p := range gp {
+			for j, v := range p.Data() {
+				if math.Float64bits(v) != math.Float64bits(wp[i].Data()[j]) {
+					t.Fatalf("%s: parameter %d[%d] is %v without ZeroGrad, %v with it", name, i, j, v, wp[i].Data()[j])
+				}
+			}
+		}
 	}
 }

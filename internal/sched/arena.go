@@ -37,21 +37,35 @@ func sizeClass(n int) int {
 
 // Get returns a zeroed buffer of length n.
 func (a *Arena) Get(n int) []float64 {
+	buf, recycled := a.get(n)
+	if recycled {
+		clear(buf)
+	}
+	return buf
+}
+
+// GetUninit returns a buffer of length n whose contents are unspecified
+// (a recycled buffer keeps its old values), for a caller that writes
+// every element before it reads any: it saves Get's clearing pass.
+func (a *Arena) GetUninit(n int) []float64 {
+	buf, _ := a.get(n)
+	return buf
+}
+
+// get returns a length-n buffer and whether it was recycled (a fresh one
+// is zeroed by make).
+func (a *Arena) get(n int) ([]float64, bool) {
 	if n < 0 {
 		panic("sched: negative arena request")
 	}
 	c := sizeClass(n)
 	if c < 0 {
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
 	if v := a.classes[c].Get(); v != nil {
-		buf := v.([]float64)[:n]
-		for i := range buf {
-			buf[i] = 0
-		}
-		return buf
+		return v.([]float64)[:n], true
 	}
-	return make([]float64, n, 1<<c)
+	return make([]float64, n, 1<<c), false
 }
 
 // Put recycles a buffer obtained from Get. Buffers whose capacity is not
@@ -72,7 +86,11 @@ var defaultArena Arena
 // GetBuf returns a zeroed length-n buffer from the shared arena.
 func GetBuf(n int) []float64 { return defaultArena.Get(n) }
 
-// PutBuf recycles a buffer obtained from GetBuf.
+// GetBufUninit returns a length-n buffer with unspecified contents from
+// the shared arena (see Arena.GetUninit).
+func GetBufUninit(n int) []float64 { return defaultArena.GetUninit(n) }
+
+// PutBuf recycles a buffer obtained from GetBuf or GetBufUninit.
 func PutBuf(buf []float64) { defaultArena.Put(buf) }
 
 // IntArena is the []int counterpart of Arena, recycling index scratch —

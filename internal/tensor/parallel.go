@@ -70,8 +70,15 @@ func GetScratch(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: sched.GetBuf(n)}
 }
 
-// PutScratch recycles a tensor obtained from GetScratch. The tensor (and
-// any view sharing its storage) must not be used afterwards.
+// GetScratchUninit is GetScratch without the zero fill: the tensor's
+// contents are unspecified until the caller has written every element.
+func GetScratchUninit(n int) *Tensor {
+	return &Tensor{shape: []int{n}, data: sched.GetBufUninit(n)}
+}
+
+// PutScratch recycles a tensor obtained from GetScratch or
+// GetScratchUninit. The tensor (and any view sharing its storage) must not
+// be used afterwards.
 func PutScratch(t *Tensor) {
 	if t != nil {
 		sched.PutBuf(t.data)

@@ -62,11 +62,12 @@ go test -race -timeout 30m ./...
 # is held to its pre-optimisation references (kept in the test files) bit
 # for bit — the branch-free max-pool select and ReLU, the backward that
 # stops at the lowest parameterised layer, Conv2D.InputGrad, Adam,
-# TrainStep, PER sampling, the input-only critic probe, the simplex
-# projection, the streaming aggregation sum, the assignment solver, the
-# cohort sampler — and a warmed TrainStep must allocate nothing. A cohort
-# round must allocate as much at 100 000 clients as at 2 000 (O(cohort)).
-go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|TestGoldenSessionHash|MatchesReference|InputGrad|TestTrainStepAllocations|TestFrameAllocs|TestAppendParamsReusesBuffer|TestCohortRoundAllocsIndependentOfK' ./internal/tensor ./internal/nn ./internal/drl ./internal/qp ./internal/core ./internal/fednet .
+# TrainStep, the one-pass SGD step, PER sampling, the input-only critic
+# probe, the simplex projection, the streaming aggregation sum and the
+# accumulator's one-pass fold, the assignment solver, the cohort sampler —
+# and a warmed TrainStep must allocate nothing. A cohort round must
+# allocate as much at 100 000 clients as at 2 000 (O(cohort)).
+go test -run 'AllocatesNothing|AllocateNothing|TestGoldenModelHashes|TestGoldenSessionHash|MatchesReference|InputGrad|TestTrainStepAllocations|TestFrameAllocs|TestAppendParamsReusesBuffer|TestCohortRoundAllocsIndependentOfK' ./internal/tensor ./internal/nn ./internal/agg ./internal/drl ./internal/qp ./internal/core ./internal/fednet .
 # 100k-client streaming smoke: one full cohort-sampled, hierarchically
 # aggregated run at 100 000 simulated clients. The test itself asserts the
 # post-GC heap ceiling (256 MB) and that peak hydrated replicas equal the
@@ -77,11 +78,13 @@ go test -run 'Test100kClientStreamingSmoke' .
 go test -run '^$' -bench 'BenchmarkTrainer' -benchtime=1x .
 # Benchmark correctness smoke (not a measurement): its gates compare
 # Workers=1 vs W and telemetry-on vs -off model hashes on a traced pass,
-# exactly what a kernel or buffer-ownership change could break; the net
-# workload's gates (zero FaultStats, migration count, goroutines settled,
-# sessions identical) are what a wire-path or replica-recycling change could.
+# exactly what a kernel, buffer-ownership or aggregation-fold change could
+# break; the net workload's gates (zero FaultStats, migration count,
+# goroutines settled, sessions identical) are what a wire-path or
+# replica-recycling change could.
 bash cmd/fedmigr-bench/run.sh --workload sim_cnn_compute --seed 1 --seconds 2 --trace 1 >/dev/null
 bash cmd/fedmigr-bench/run.sh --workload sim_drl_small --seed 1 --seconds 2 --trace 1 >/dev/null
+bash cmd/fedmigr-bench/run.sh --workload sim_cohort_scale --seed 1 --seconds 2 --trace 1 >/dev/null
 bash cmd/fedmigr-bench/run.sh --workload net_wire_heavy --seed 1 --seconds 2 --trace 1 >/dev/null
 # Fuzz smoke over the three hand-written decoders.
 go test -run '^$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/fednet
